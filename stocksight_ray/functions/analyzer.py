@@ -181,22 +181,33 @@ _STD_TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
 _BASIC_TOKEN_RE = re.compile(r"[a-z]+")
 
 
-def english_analyzer(text: str) -> List[str]:
-    """Index terms for one text. Single shared path, index- and query-side.
-
-    Curly apostrophes (U+2019, pervasive in real web text) are normalized
-    to ASCII before tokenizing so possessives strip instead of splitting
-    into junk 's' tokens."""
+def _std_tokens(text: str) -> List[str]:
+    """Standard-tokenizer surface tokens.  Curly apostrophes (U+2019,
+    pervasive in real web text) are normalized to ASCII first so
+    possessives strip instead of splitting into junk 's' tokens."""
     if "\u2019" in text:
         text = text.replace("\u2019", "'")
+    return _STD_TOKEN_RE.findall(text)
+
+
+def _english_term(tok: str):
+    """One surface token → its index term, or None when it is a stopword
+    (possessive strip → lowercase → stop filter → Porter stem)."""
+    if tok.endswith("'s") or tok.endswith("'S"):
+        tok = tok[:-2]
+    tok = tok.lower()
+    if not tok or tok in LUCENE_ENGLISH_STOPWORDS:
+        return None
+    return porter_stem(tok)
+
+
+def english_analyzer(text: str) -> List[str]:
+    """Index terms for one text. Single shared path, index- and query-side."""
     out: List[str] = []
-    for tok in _STD_TOKEN_RE.findall(text):
-        if tok.endswith("'s") or tok.endswith("'S"):
-            tok = tok[:-2]
-        tok = tok.lower()
-        if not tok or tok in LUCENE_ENGLISH_STOPWORDS:
-            continue
-        out.append(porter_stem(tok))
+    for tok in _std_tokens(text):
+        t = _english_term(tok)
+        if t is not None:
+            out.append(t)
     return out
 
 
@@ -212,20 +223,19 @@ _MISS = object()
 def make_cached_english_analyzer(max_cache: int = 1_000_000):
     """english_analyzer with a per-instance raw-token → term memo.
 
-    Identical output to english_analyzer (same chain), but Porter stemming is
-    computed once per distinct surface token — with a Zipfian vocabulary the
-    hit rate is ~99%.  Intended as actor-pool state (one cache per actor,
-    built in __init__), NOT a module-level global."""
+    Identical output to english_analyzer (the same tokenizer and per-token
+    chain, shared code), but each distinct surface token is analyzed once —
+    with a Zipfian vocabulary the hit rate is ~99%.  Intended as per-object
+    state (one cache per actor or serving engine, built in __init__), NOT
+    a module-level global."""
     cache: dict = {}
 
     def analyze(text: str):
         out = []
-        for tok in _STD_TOKEN_RE.findall(text):
+        for tok in _std_tokens(text):
             r = cache.get(tok, _MISS)
             if r is _MISS:
-                t = tok[:-2] if tok.endswith(("'s", "'S")) else tok
-                t = t.lower()
-                r = None if (not t or t in LUCENE_ENGLISH_STOPWORDS) else porter_stem(t)
+                r = _english_term(tok)
                 if len(cache) < max_cache:
                     cache[tok] = r
             if r is not None:

@@ -352,14 +352,14 @@ def compact(out_dir: str) -> dict:
                 lin.get("compacted_deletes", 0) + (~keep).sum()
             )
             fsio.write_json_atomic(lin, fsio.join(seg, "lineage.json"), indent=1)
-        from .segments import assemble
+        from .segments import assemble, carry_manifest_keys
 
-        new_manifest = assemble(
+        new_manifest = carry_manifest_keys(out_dir, manifest, assemble(
             out_dir,
             analyzer=manifest["analyzer"],
             num_partitions=int(manifest["num_partitions"]),
             salt_range=int(manifest.get("salt_range", 1 << 62)),
-        )
+        ))
         # tombstones clear only after assemble commits the purged global
         # index — a crash anywhere above re-runs compaction idempotently
         # (re-purging purged files is a no-op), and engines constructed in

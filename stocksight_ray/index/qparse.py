@@ -27,8 +27,8 @@ Semantics (ES bool query):
 * ``field:value`` is non-scoring **filter context** over a docs-table
   metadata column (the Kibana filter pill): equality by default,
   ``field:>=5``-style prefixes for numeric ranges, quoted values for
-  strings with spaces.  Pushed down into the docs-parquet read (row-group
-  pruning — a serving shard reads only its id range's row groups);
+  strings with spaces.  Evaluated over the docs column the engine holds
+  in memory (index/docstore.py), the value cast to the column's type;
 * tombstoned docs (index/deletes.py) are filtered from the final result;
 * ties break by doc_id ascending, matching every other scorer here.
 
@@ -404,35 +404,18 @@ def _exclude(engine, ids: np.ndarray, scores, neg_nodes):
 
 
 def _eval_filter(engine, node: Filter) -> np.ndarray:
-    import pyarrow.dataset as pads
-
-    from .. import fsio
-
+    """Sorted doc ids passing a ``field:value`` clause: one vectorized
+    comparison over the docs column the engine's DocStore holds in memory
+    (index/docstore.py — read once per engine, limited to its indexed ids,
+    so a shard engine sees only its range and compacted-away docs never
+    match).  The value is cast to the column's type; a value that does not
+    cast (``warc_ts:>=someday``) raises ValueError naming the field."""
     docs_path = engine.manifest.get("docs_path")
     if docs_path is None:
         raise ValueError(
             f"{node.col}:{node.value} needs docs_path in the index manifest"
         )
-    f = pads.field(node.col)
-    expr = (f == node.value if node.op == "==" else
-            f < node.value if node.op == "<" else
-            f <= node.value if node.op == "<=" else
-            f > node.value if node.op == ">" else
-            f >= node.value)
-    # shard-scoped engines (serve.SegmentEngine) expose their doc_id range
-    # so the filter read stays shard-bounded (row-group pruning on doc_id)
-    id_range = getattr(engine, "doc_id_range", None)
-    if id_range is not None:
-        lo, hi = id_range
-        expr = expr & (pads.field("doc_id") >= lo) & (pads.field("doc_id") < hi)
-    _dfs, _dpath = fsio.resolve(docs_path)
-    ids = (
-        pads.dataset(_dpath, filesystem=_dfs)
-        .to_table(columns=["doc_id"], filter=expr)["doc_id"]
-        .to_numpy(zero_copy_only=False).astype(np.int64)
-    )
-    ids.sort(kind="stable")
-    return ids
+    return engine.docstore.match(docs_path, node.col, node.op, node.value)
 
 
 def _member(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:

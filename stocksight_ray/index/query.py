@@ -37,9 +37,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import pyarrow as pa
 
-from ..functions.analyzer import ANALYZERS
+from ..functions.analyzer import make_cached_analyzer
 from . import codec
 from .build import term_partition
+from .deletes import live_mask
+from .docstore import DocStore
 
 
 class _TermPostings:
@@ -133,7 +135,9 @@ class QueryEngine:
         self.k1 = float(self.manifest["k1"])
         self.b = float(self.manifest["b"])
         self.num_partitions = int(self.manifest["num_partitions"])
-        self._analyze = ANALYZERS[self.manifest["analyzer"]]
+        # memoized analyzer (at most 1M cached surface tokens): one per
+        # engine, the same chain that built the index
+        self._analyze = make_cached_analyzer(self.manifest["analyzer"])
         self._parts: Dict[int, Dict[str, _TermPostings]] = {}
 
         # doc_len store: doc_id-indexed dense array when ids are dense,
@@ -152,6 +156,9 @@ class QueryEngine:
             and self._norm_ids[0] == 0
             and self._norm_ids[-1] == self._norm_ids.size - 1
         )
+        # docs-table columns for phrase verification and field filters,
+        # limited to the indexed ids (index/docstore.py)
+        self.docstore = DocStore(self._norm_ids)
 
         # tombstoned doc_ids (index/deletes.py): sorted array, O(deletes)
         # memory — every scorer path filters against it exactly; N/avgdl/df
@@ -170,8 +177,6 @@ class QueryEngine:
         return int(self._deleted.size)
 
     def _live(self, docs: np.ndarray) -> np.ndarray:
-        from .deletes import live_mask
-
         return live_mask(self._deleted, docs)
 
     # ------------------------------------------------------------------
@@ -223,13 +228,19 @@ class QueryEngine:
         """Preload every index partition (term dictionary + block metadata).
         A serving actor calls this once in __init__ so query latency never
         pays cold parquet reads.  ``deep=True`` also decodes every term's
-        postings into the cache (one-time cost ~ index size) so even the
-        first query per term runs at warm latency."""
+        postings into the cache (one-time cost ~ index size) and loads the
+        manifest docs table's text column into the DocStore, so even the
+        first query per term or phrase runs at warm latency."""
         for part in range(self.num_partitions):
             table = self._load_part(part)
             if deep:
                 for p in table.values():
                     p.full()
+        docs_path = self.manifest.get("docs_path")
+        if deep and docs_path is not None:
+            self.docstore.column(
+                docs_path, self.manifest.get("docs_text_col", "text")
+            )
 
     def idf(self, df: int) -> float:
         return float(np.log(1.0 + (self.N - df + 0.5) / (df + 0.5)))
@@ -591,44 +602,12 @@ class QueryEngine:
     ) -> List[Tuple[int, float]]:
         """Phrase match (ES ``match_phrase``, the reference's Kibana
         saved-search filter): conjunctive candidates from the index, then
-        exact consecutive-terms verification against the docs table (the
-        index stores no positions — re-verification against `_source` is the
-        standard positionless design; at scale the docs read prunes to the
-        candidate row groups via a doc_id filter)."""
-        import pyarrow.dataset as pads
-        import pyarrow.compute as pc_
+        exact consecutive-terms verification of their texts, taken from the
+        engine's in-memory DocStore (index/docstore.py::search_phrase, the
+        one verification path shared with SegmentEngine)."""
+        from .docstore import search_phrase as _sp
 
-        docs_path = docs_path or self.manifest.get("docs_path")
-        text_col = text_col or self.manifest.get("docs_text_col", "text")
-        if docs_path is None:
-            raise ValueError("search_phrase needs docs_path (or manifest docs_path)")
-        terms = [t for t in self._analyze(query)]  # keep duplicates + order
-        if not terms:
-            return []
-        # pre-analyzed terms go straight to the AND scorer — no re-analysis
-        cand_scored = self._search_and_terms(list(dict.fromkeys(terms)), k=1 << 30)
-        if not cand_scored:
-            return []
-        cand_ids = np.array([d for d, _ in cand_scored], dtype=np.int64)
-        score_of = dict(cand_scored)
-        from .. import fsio
-
-        _dfs, _dpath = fsio.resolve(docs_path)
-        dset = pads.dataset(_dpath, filesystem=_dfs)
-        tbl = dset.to_table(
-            columns=["doc_id", text_col],
-            filter=pads.field("doc_id").isin(pa.array(cand_ids)),
-        )
-        out = []
-        n = len(terms)
-        for doc_id, text in zip(tbl["doc_id"].to_pylist(), tbl[text_col].to_pylist()):
-            toks = self._analyze(text or "")
-            for i in range(len(toks) - n + 1):
-                if toks[i : i + n] == terms:
-                    out.append((int(doc_id), float(score_of[int(doc_id)])))
-                    break
-        out.sort(key=lambda ds_: (-ds_[1], ds_[0]))
-        return out[:k]
+        return _sp(self, query, k, docs_path, text_col)
 
     def search_sorted(
         self, query: str, k: int = 10, *,
@@ -638,11 +617,10 @@ class QueryEngine:
         """The reference's Kibana saved search (sort: ["date","desc"],
         /root/reference/export.json stocksight_savesearch): matching docs
         ordered by a METADATA column instead of score.  Candidates come from
-        the index (OR or AND match); the sort key is fetched from the docs
-        table with a doc_id filter (row-group pruning at scale).  Returns
-        [(doc_id, sort_value)] — ties by doc_id asc."""
-        import pyarrow.dataset as pads
-
+        the index (OR or AND match); their sort keys are taken from the
+        ``sort_col`` column the DocStore holds in memory for ``docs_path``
+        (read once per path and column).  Returns [(doc_id, sort_value)] —
+        ties by doc_id asc."""
         docs_path = docs_path or self.manifest.get("docs_path")
         if docs_path is None:
             raise ValueError("search_sorted needs docs_path (or manifest docs_path)")
@@ -652,17 +630,12 @@ class QueryEngine:
             cand = self.search(query, k=1 << 30, method="exhaustive")
         if not cand:
             return []
-        from .. import fsio
-
-        ids = pa.array([d for d, _ in cand], pa.int64())
-        _dfs, _dpath = fsio.resolve(docs_path)
-        tbl = pads.dataset(_dpath, filesystem=_dfs).to_table(
-            columns=["doc_id", sort_col],
-            filter=pads.field("doc_id").isin(ids),
+        ids, vals = self.docstore.take(
+            docs_path, sort_col, np.array([d for d, _ in cand], dtype=np.int64)
         )
         rows = [
             (d, v)
-            for d, v in zip(tbl["doc_id"].to_pylist(), tbl[sort_col].to_pylist())
+            for d, v in zip(ids.tolist(), vals.to_pylist())
             if v is not None  # ES sorts missing last; we drop them (documented)
         ]
         if descending:
@@ -683,12 +656,11 @@ class QueryEngine:
         by the filter (non-scoring filter context, exactly ES).
 
         filters: [(column, op, value)] with op in
-        {"==", "!=", "<", "<=", ">", ">=", "in"}.  The predicate is pushed
-        down into the docs-parquet read (row-group pruning) and only the
-        doc_id column of PASSING rows is fetched — a serving shard reads
-        only its id range's row groups."""
-        import pyarrow.dataset as pads
-
+        {"==", "!=", "<", "<=", ">", ">=", "in"}.  Each predicate is one
+        vectorized comparison over the column the DocStore holds in memory
+        for ``docs_path`` (read once per path and column, limited to the
+        indexed ids); the value is cast to the column's type, and a value
+        that cannot be cast raises ``ValueError``."""
         docs_path = docs_path or self.manifest.get("docs_path")
         if docs_path is None:
             raise ValueError("search_filtered needs docs_path (or manifest docs_path)")
@@ -698,29 +670,10 @@ class QueryEngine:
             cand = self.search(query, k=1 << 30, method="exhaustive")
         if not cand:
             return []
-
-        expr = None
-        for col, op, val in filters:
-            f = pads.field(col)
-            e = (f == val if op == "==" else f != val if op == "!=" else
-                 f < val if op == "<" else f <= val if op == "<=" else
-                 f > val if op == ">" else f >= val if op == ">=" else
-                 f.isin(val) if op == "in" else None)
-            if e is None:
-                raise ValueError(f"unsupported filter op {op!r}")
-            expr = e if expr is None else expr & e
-        from .. import fsio
-
-        _dfs, _dpath = fsio.resolve(docs_path)
-        allowed = (
-            pads.dataset(_dpath, filesystem=_dfs)
-            .to_table(columns=["doc_id"], filter=expr)["doc_id"]
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        allowed.sort(kind="stable")
         ids = np.array([d for d, _ in cand], dtype=np.int64)
-        pos = np.searchsorted(allowed, ids)
-        ok = (pos < allowed.size) & (allowed[np.minimum(pos, max(allowed.size - 1, 0))] == ids) if allowed.size else np.zeros(ids.size, bool)
+        ok = np.ones(ids.size, dtype=bool)
+        for col, op, val in filters:
+            ok &= ~live_mask(self.docstore.match(docs_path, col, op, val), ids)
         hits = [cand[i] for i in np.flatnonzero(ok)]
         hits.sort(key=lambda ds_: (-ds_[1], ds_[0]))
         return hits[:k]

@@ -617,3 +617,29 @@ def assemble(
         manifest, fsio.join(out_dir, "manifest.json"), indent=1, default=int
     )
     return manifest
+
+
+# Keys a rebuild intentionally refreshes are never copied forward; every
+# OTHER old-manifest key (docs_path, docs_text_col, any extra_manifest the
+# index was built with) is preserved across a rebuild — preserving by
+# mechanism, not by whitelist, so future serving-config keys survive too.
+# Transient per-operation stats are also dropped (stale after a rebuild).
+_TRANSIENT_KEYS = ("compact_wall_sec",)
+
+
+def carry_manifest_keys(out_dir: str, old: dict, new: dict) -> dict:
+    """Copy the keys of ``old`` that ``new`` lacks into ``new`` and rewrite
+    ``out_dir/manifest.json`` — after a rebuild (upsert) or a re-assembly
+    (segmented compact) wrote a manifest from scratch.  Returns ``new``."""
+    from .. import fsio
+
+    preserved = {
+        k: v for k, v in old.items()
+        if k not in new and k not in _TRANSIENT_KEYS
+    }
+    if preserved:
+        new.update(preserved)
+        fsio.write_json_atomic(
+            new, fsio.join(out_dir, "manifest.json"), indent=1, default=int,
+        )
+    return new

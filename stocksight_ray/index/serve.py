@@ -108,14 +108,16 @@ class SegmentEngine:
     Memory is shard-bounded: only this shard's postings + norms are held,
     plus a {term: df} dict for the shard's OWN term set, built at init from
     column-projected (term, df) reads of the global index partitions —
-    never the global payloads or the global norms.  The dense per-query
+    never the global payloads or the global norms — and the DocStore's
+    docs columns for the shard's ids only.  The dense per-query
     accumulator is shard-sized (the point of sharding)."""
 
     def __init__(self, out_dir: str, shard: int):
         import numpy as np
 
         from .. import fsio
-        from ..functions.analyzer import ANALYZERS
+        from ..functions.analyzer import make_cached_analyzer
+        from .docstore import DocStore
         from .query import read_postings_table
 
         manifest = fsio.read_json(fsio.join(out_dir, "manifest.json"))
@@ -124,7 +126,7 @@ class SegmentEngine:
         self.avgdl = float(manifest["avgdl"]) or 1.0
         self.k1 = float(manifest["k1"])
         self.b = float(manifest["b"])
-        self._analyze = ANALYZERS[manifest["analyzer"]]
+        self._analyze = make_cached_analyzer(manifest["analyzer"])
 
         seg = fsio.join(out_dir, "segments", f"shard-{shard:05d}")
         self.lineage = fsio.read_json(fsio.join(seg, "lineage.json"))
@@ -164,10 +166,9 @@ class SegmentEngine:
             out_dir,
             int(self.lineage["doc_id_lo"]), int(self.lineage["doc_id_hi"]),
         )
-        # qparse filter clauses push this range into the docs-parquet read
-        self.doc_id_range = (
-            int(self.lineage["doc_id_lo"]), int(self.lineage["doc_id_hi"]),
-        )
+        # docs-table columns for THIS shard's ids only (index/docstore.py):
+        # phrase texts and filter columns stay shard-bounded
+        self.docstore = DocStore(self._ids)
 
     def warm(self) -> None:
         """Pre-decode every term's postings AND pre-resolve its scatter
@@ -176,7 +177,8 @@ class SegmentEngine:
         shard state), so a warm query is ONE scatter-add per term — no
         varbyte decode, no searchsorted, no log/tf-norm on the serving
         path.  Memory stays shard-bounded (~12 B/posting: int32 position +
-        float64 contribution)."""
+        float64 contribution).  Also loads the shard's rows of the manifest
+        docs table's text column into the DocStore (phrase verification)."""
         import numpy as np
 
         from . import codec
@@ -191,6 +193,11 @@ class SegmentEngine:
                 tfs, self._lens[pos], self.avgdl, self.k1, self.b
             )
             self._resolved[t] = (pos, contrib)
+        docs_path = self.manifest.get("docs_path")
+        if docs_path is not None:
+            self.docstore.column(
+                docs_path, self.manifest.get("docs_text_col", "text")
+            )
 
     def search(self, query: str, k: int = 10, mode: str = "or"):
         """Top-k within this shard, scored with GLOBAL df/N/avgdl (dense
@@ -201,15 +208,19 @@ class SegmentEngine:
         exactly the global conjunction; a term absent from this shard
         empties its contribution (absent from all shards == absent
         globally == empty conjunction, matching QueryEngine.search_and)."""
+        return self._search_terms(self.analyze_query(query), k, mode == "and")
+
+    def _search_and_terms(self, terms, k: int):
+        """AND over pre-analyzed terms (docstore.search_phrase candidates)."""
+        return self._search_terms(terms, k, True)
+
+    def _search_terms(self, terms, k: int, conj: bool):
         import numpy as np
 
         from . import codec
 
         if k <= 0:
             return []
-        seen = set()
-        terms = [t for t in self._analyze(query) if not (t in seen or seen.add(t))]
-        conj = mode == "and"
         acc = np.zeros(self._ids.size, dtype=np.float64)
         touched = np.zeros(self._ids.size, dtype=bool)
         nhits = np.zeros(self._ids.size, dtype=np.int32) if conj else None
@@ -321,43 +332,11 @@ class SegmentEngine:
     def search_phrase(self, query: str, k: int = 10):
         """Phrase match within this shard (global-scored): conjunctive
         candidates from the shard postings, then exact consecutive-terms
-        verification against the docs table restricted to the candidate
-        ids (shard-bounded read)."""
-        import numpy as np
-        import pyarrow as pa_
-        import pyarrow.dataset as pads
+        verification of their texts from the shard-bounded DocStore — the
+        same verification path as QueryEngine (docstore.search_phrase)."""
+        from .docstore import search_phrase as _sp
 
-        from .. import fsio
-
-        docs_path = self.manifest.get("docs_path")
-        text_col = self.manifest.get("docs_text_col", "text")
-        if docs_path is None:
-            raise ValueError("search_phrase needs docs_path in the manifest")
-        terms = list(self._analyze(query))  # keep duplicates + order
-        if not terms:
-            return []
-        cand = self.search(query, k=1 << 30, mode="and")
-        if not cand:
-            return []
-        score_of = dict(cand)
-        cand_ids = pa_.array(sorted(score_of), pa_.int64())
-        _dfs, _dpath = fsio.resolve(docs_path)
-        tbl = pads.dataset(_dpath, filesystem=_dfs).to_table(
-            columns=["doc_id", text_col],
-            filter=pads.field("doc_id").isin(cand_ids),
-        )
-        out = []
-        n = len(terms)
-        for doc_id, text in zip(
-            tbl["doc_id"].to_pylist(), tbl[text_col].to_pylist()
-        ):
-            toks = self._analyze(text or "")
-            for i in range(len(toks) - n + 1):
-                if toks[i: i + n] == terms:
-                    out.append((int(doc_id), float(score_of[int(doc_id)])))
-                    break
-        out.sort(key=lambda ds_: (-ds_[1], ds_[0]))
-        return out[:k]
+        return _sp(self, query, k)
 
     def search_query(self, query: str, k: int = 10):
         """Lucene-mini query string over THIS shard (see index/qparse.py)."""

@@ -37,14 +37,6 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-# Keys the rebuild intentionally refreshes are never copied forward; every
-# OTHER old-manifest key (docs_path, docs_text_col, any extra_manifest the
-# index was built with) is preserved across the rebuild — preserving by
-# mechanism, not by whitelist, so future serving-config keys survive too.
-# Transient per-operation stats are also dropped (stale after a rebuild).
-_TRANSIENT_KEYS = ("compact_wall_sec",)
-
-
 def upsert_docs(
     out_dir: str,
     updates,
@@ -69,7 +61,7 @@ def upsert_docs(
     from .. import fsio
     from .build import build_index
     from .deletes import live_mask, undelete_docs
-    from .segments import build_resumable
+    from .segments import build_resumable, carry_manifest_keys
 
     manifest = fsio.read_json(fsio.join(out_dir, "manifest.json"))
 
@@ -130,14 +122,5 @@ def upsert_docs(
     # revive: upserted ids are live again even if previously tombstoned
     undelete_docs(out_dir, upd_ids, id_col=id_col)
 
-    preserved = {
-        k: v for k, v in manifest.items()
-        if k not in new_manifest and k not in _TRANSIENT_KEYS
-    }
-    if preserved:
-        new_manifest.update(preserved)
-        fsio.write_json_atomic(
-            new_manifest, fsio.join(out_dir, "manifest.json"),
-            indent=1, default=int,
-        )
-    return new_manifest
+    # serving config (docs_path, docs_text_col, ...) survives the rebuild
+    return carry_manifest_keys(out_dir, manifest, new_manifest)

@@ -84,3 +84,35 @@ def test_curly_apostrophe_possessive():
         "the investor's gains"
     )
     assert "s" not in english_analyzer("the investor’s gains")
+
+
+_WORDS = ["Apple", "apple", "the", "The", "investor", "company", "markets",
+          "were", "falling", "2021", "3rd", "x9", "willing", "a", "S", "s"]
+
+
+def test_cached_analyzer_equals_uncached():
+    """The memoized analyzer (index build, serving engines) must produce
+    exactly english_analyzer's terms — curly and straight possessives,
+    stopwords, digits and punctuation included — on fresh and on cached
+    tokens alike."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from stocksight_ray.functions.analyzer import make_cached_english_analyzer
+
+    assert make_cached_english_analyzer()("Apple’s") == ["appl"]
+    cached = make_cached_english_analyzer()
+    piece = st.one_of(
+        st.sampled_from(_WORDS),
+        st.sampled_from(["’s", "'s", "'S", "’", "'", " ", "-", ".",
+                         "!", "  ", "\n"]),
+        st.text(alphabet="abcXYZ019'’ ", max_size=6),
+    )
+
+    @given(st.lists(piece, max_size=25).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def check(text):
+        assert cached(text) == english_analyzer(text)
+        assert cached(text) == english_analyzer(text)  # memo-hit path
+
+    check()

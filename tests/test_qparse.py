@@ -3,8 +3,10 @@ equivalence against the dedicated search/search_and/search_phrase/
 search_filtered primitives on a small index."""
 
 import os
+import shutil
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from stocksight_ray.index.qparse import (
@@ -347,3 +349,220 @@ def test_qs_sharded_equals_global(ray_session, tmp_path):
             assert svc.search_query(qs, k=10) == eng.search_query(qs, k=10), qs
     finally:
         svc.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# DocStore (index/docstore.py): phrase / filter clauses served from the
+# engine's in-memory docs columns == an independent scan of the docs table
+# ---------------------------------------------------------------------------
+
+_PHRASES = ["strong earnings", "market rises", "the market rises",
+            "rises the market", "stock market", "earnings reports",
+            "market market", "recipe pasta", "earnings strong",
+            "zzz market"]
+_FILTERS = [("kind:tweet", "kind", "==", "tweet"),
+            ("kind:news", "kind", "==", "news"),
+            ("n:>=50", "n", ">=", 50),
+            ("n:<30", "n", "<", 30)]
+
+
+def _scan_phrase(docs: pa.Table, live, phrase: str):
+    """Docs whose analyzed text holds the analyzed phrase consecutively —
+    every row analyzed with the uncached english analyzer."""
+    from stocksight_ray.functions.analyzer import english_analyzer
+
+    q = english_analyzer(phrase)
+    n = len(q)
+    out = []
+    for d, t in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
+        toks = english_analyzer(t)
+        if d in live and any(toks[i: i + n] == q
+                             for i in range(len(toks) - n + 1)):
+            out.append(d)
+    return sorted(out)
+
+
+def _scan_filter(docs: pa.Table, live, col, op, value):
+    import pyarrow.compute as pc
+
+    fn = {"==": pc.equal, ">=": pc.greater_equal, "<": pc.less}[op]
+    c = docs[col]
+    mask = fn(c, pa.scalar(value, c.type))
+    return sorted(d for d in docs["doc_id"].filter(mask).to_pylist() if d in live)
+
+
+def _assert_engine_equals_scan(eng, docs, live):
+    """Phrase and filter hits at k=all equal the scans; phrase scores are
+    the engine's own AND-match scores."""
+    for ph in _PHRASES:
+        got = eng.search_query(f'"{ph}"', k=1 << 20)
+        assert sorted(d for d, _ in got) == _scan_phrase(docs, live, ph), ph
+        and_scores = dict(eng.search_query(  # one clause per distinct word
+            " AND ".join(dict.fromkeys(ph.split())), k=1 << 20))
+        assert all(s == and_scores[d] for d, s in got), ph
+        assert got == sorted(got, key=lambda ds: (-ds[1], ds[0]))
+    for qs, col, op, v in _FILTERS:
+        got = eng.search_query(qs, k=1 << 20)
+        assert got == [(d, 0.0) for d in _scan_filter(docs, live, col, op, v)], qs
+
+
+def _set_docs(out, docs_path):
+    import json
+
+    mpath = os.path.join(out, "manifest.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    m.update({"docs_path": docs_path, "docs_text_col": "text"})
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+
+
+def _meta_docs(rows):
+    """qs_index rows plus a timestamp and a lang column."""
+    from datetime import datetime, timedelta
+
+    return pa.table({
+        "doc_id": pa.array(range(len(rows)), pa.int64()),
+        "text": pa.array([r[0] for r in rows], pa.string()),
+        "kind": pa.array([r[1] for r in rows], pa.string()),
+        "n": pa.array([r[2] for r in rows], pa.int64()),
+        "lang": pa.array(["en", "de", "de", "en", "de", "ja", "de", "en"]),
+        "warc_ts": pa.array(
+            [datetime(2021, 1, 1) + timedelta(days=4 * i)
+             for i in range(len(rows))], pa.timestamp("us")),
+    })
+
+
+def test_filter_value_cast_to_column_type(ray_session, qs_index, tmp_path):
+    """``warc_ts:>=<date>`` compares as a timestamp (checked against a
+    pyarrow.compute scan); a value the column type cannot hold raises
+    ValueError naming the field instead of matching nothing."""
+    from datetime import datetime
+
+    src, rows = qs_index
+    out = str(shutil.copytree(src, tmp_path / "idx"))
+    docs = _meta_docs(rows)
+    docs_path = str(tmp_path / "docs_meta.parquet")
+    pq.write_table(docs, docs_path)
+    _set_docs(out, docs_path)
+    eng = _engine(out)
+    live = set(range(len(rows)))
+
+    exp = _scan_filter(docs, live, "warc_ts", ">=", datetime(2021, 1, 15))
+    assert 0 < len(exp) < len(rows)
+    assert eng.search_query("warc_ts:>=2021-01-15", k=100) == \
+        [(d, 0.0) for d in exp]
+    got = eng.search_query("market AND warc_ts:>=2021-01-15", k=100)
+    market = {d for d, _ in eng.search("market", k=100, method="exhaustive")}
+    assert sorted(d for d, _ in got) == sorted(market & set(exp))
+    # an int value against a float-free int column, a float against it
+    assert eng.search_query("n:>=45", k=100) == \
+        [(d, 0.0) for d in _scan_filter(docs, live, "n", ">=", 45)]
+    assert eng.search_query("n:<25.5", k=100) == [(0, 0.0), (1, 0.0)]
+
+    for bad, field in [("warc_ts:>=2021-13-45", "warc_ts"),
+                       ("market AND warc_ts:>=someday", "warc_ts"),
+                       ("n:>=abc", "n")]:
+        with pytest.raises(ValueError, match=field):
+            eng.search_query(bad, k=10)
+    with pytest.raises(ValueError, match="nosuchcol"):
+        eng.search_query("nosuchcol:x", k=10)
+
+
+def test_docstore_single_pass_equals_scan_through_compact(
+        ray_session, qs_index, tmp_path):
+    """QueryEngine phrase/filter hits == independent scans before and
+    after delete + compact; after compact a filter-only query never
+    returns a purged doc; per-call docs paths (search_sorted /
+    search_filtered) are cached per path."""
+    from stocksight_ray.index.deletes import compact, delete_docs
+
+    src, rows = qs_index
+    out = str(shutil.copytree(src, tmp_path / "idx"))
+    docs = _meta_docs(rows)
+    docs_path = str(tmp_path / "docs_meta.parquet")
+    pq.write_table(docs, docs_path)
+    _set_docs(out, docs_path)
+    alt = docs.set_column(docs.schema.get_field_index("lang"), "lang",
+                          pa.array(["de"] * len(rows)))
+    alt_path = str(tmp_path / "docs_alt.parquet")
+    pq.write_table(alt, alt_path)
+
+    live = set(range(len(rows)))
+    victims = [1, 6]  # 'de' docs holding phrase and filter matches
+    for stage in ("built", "deleted", "compacted"):
+        if stage == "deleted":
+            delete_docs(out, victims)
+            live -= set(victims)
+        elif stage == "compacted":
+            compact(out)
+        eng = _engine(out)
+        eng.warm(deep=True)
+        _assert_engine_equals_scan(eng, docs, live)
+        de = _scan_filter(docs, live, "lang", "==", "de")
+        assert eng.search_query("lang:de", k=100) == [(d, 0.0) for d in de]
+
+        base = [(d, s) for d, s in eng.search("market", k=100,
+                                              method="exhaustive")]
+        for path, tbl in ((docs_path, docs), (alt_path, alt)):
+            langs = dict(zip(tbl["doc_id"].to_pylist(),
+                             tbl["lang"].to_pylist()))
+            got = eng.search_filtered("market", k=100, docs_path=path,
+                                      filters=[("lang", "==", "de")])
+            assert got == [(d, s) for d, s in base if langs[d] == "de"]
+        ts = dict(zip(docs["doc_id"].to_pylist(), docs["warc_ts"].to_pylist()))
+        got = eng.search_sorted("market", k=100, docs_path=docs_path)
+        assert got == sorted(((d, ts[d]) for d, _ in base),
+                             key=lambda r: r[1], reverse=True)
+
+
+def test_docstore_sharded_equals_scan_through_compact(
+        ray_session, qs_index, tmp_path):
+    """SegmentEngine and ShardedQueryService phrase/filter hits ==
+    independent scans == QueryEngine, before and after delete + compact;
+    a segmented compact keeps docs_path / docs_text_col."""
+    import json
+
+    import ray.data as rd
+
+    from stocksight_ray.index.deletes import compact, delete_docs
+    from stocksight_ray.index.segments import build_resumable
+    from stocksight_ray.index.serve import SegmentEngine, ShardedQueryService
+
+    _, rows = qs_index
+    docs = _meta_docs(rows)
+    docs_path = str(tmp_path / "docs.parquet")
+    pq.write_table(docs, docs_path)
+    out = str(tmp_path / "seg")
+    build_resumable(rd.from_arrow(docs.select(["doc_id", "text"])), out,
+                    text_col="text", num_partitions=4, salt_range=4,
+                    shard_docs=4, batch_size=4)
+    _set_docs(out, docs_path)
+
+    live = set(range(len(rows)))
+    for stage in ("built", "compacted"):
+        if stage == "compacted":
+            delete_docs(out, [0, 6])
+            live -= {0, 6}
+            compact(out)
+            with open(os.path.join(out, "manifest.json")) as f:
+                m = json.load(f)
+            assert m["docs_path"] == docs_path and m["docs_text_col"] == "text"
+        eng = _engine(out)
+        _assert_engine_equals_scan(eng, docs, live)
+        shards = [s["shard"] for s in eng.manifest["segments"]]
+        assert len(shards) == 2
+        segs = [SegmentEngine(out, s) for s in shards]
+        for seg in segs:
+            seg.warm()
+        svc = ShardedQueryService(out)
+        try:
+            for qs in [f'"{p}"' for p in _PHRASES] + [f[0] for f in _FILTERS]:
+                exp = eng.search_query(qs, k=1 << 20)
+                merged = sorted((h for seg in segs
+                                 for h in seg.search_query(qs, k=1 << 20)),
+                                key=lambda ds: (-ds[1], ds[0]))
+                assert merged == exp, qs
+                assert svc.search_query(qs, k=1 << 20) == exp, qs
+        finally:
+            svc.shutdown()
