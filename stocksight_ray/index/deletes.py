@@ -14,13 +14,14 @@ build.py/segments.py:
   segment shard size when the index is sharded).  Writes are atomic per
   bucket and only touched buckets are rewritten — a delete of k docs costs
   O(k + existing tombstones in the touched buckets), never an index pass.
-* Query engines (query.QueryEngine, serve.SegmentEngine) load the tombstone
-  set at init — O(deletes) memory, the same contract as Lucene's live-docs —
-  and filter every scorer path exactly (OR/AND/phrase/sorted, all three OR
-  scorer regimes).  **BM25 stats (N, avgdl, df) intentionally stay stale
-  until compaction**, matching Lucene: deleted docs still count toward idf,
-  so surviving docs keep their pre-delete scores (rank-identical across the
-  exhaustive / block-max / WAND paths and across shard serving).
+* The query engine (query.QueryEngine, over the whole index or one shard's
+  id range) loads the tombstone set at init — O(deletes) memory, the same
+  contract as Lucene's live-docs — and filters every scorer path exactly
+  (OR/AND/phrase/sorted, both OR scorers).  **BM25 stats (N, avgdl, df)
+  intentionally stay stale until compaction**, matching Lucene: deleted
+  docs still count toward idf, so surviving docs keep their pre-delete
+  scores (rank-identical across the exhaustive / block-max paths and
+  across shard serving).
 * ``compact(out_dir)`` purges tombstoned postings physically: one Ray task
   per (shard, partition-file) decodes, filters, re-encodes (codec round
   trip), norms are filtered per shard, lineage doc counts updated, and

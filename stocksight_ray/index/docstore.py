@@ -3,15 +3,15 @@
 The index stores no positions and no metadata, so phrase verification
 (ES ``match_phrase``) and field filters (``lang:de``, ``polarity:>=0.5``)
 read the docs table.  Elasticsearch answers both from index-resident
-structures; here each engine (``QueryEngine``, ``SegmentEngine``) holds one
-``DocStore`` that reads a docs column ONCE, on first use, and serves every
-later phrase or filter clause from memory:
+structures; here each engine (``QueryEngine``, over the whole index or one
+shard) holds one ``DocStore`` that reads a docs column ONCE, on first use,
+and serves every later phrase or filter clause from memory:
 
 * a column is cached per ``(docs_path, column)`` — ``search_sorted`` /
   ``search_filtered`` accept a per-call docs path, so the path is part of
   the key;
 * it is kept sorted by ``doc_id`` and limited to the engine's indexed ids
-  (its norms: a segment engine holds only its shard's id range, and docs
+  (its norms: a shard engine holds only its shard's id range, and docs
   purged by ``compact`` are gone from the norms, so they are gone here);
 * phrase candidates fetch their texts with one ``take``; a filter clause is
   one ``pyarrow.compute`` comparison over the cached column.
@@ -46,22 +46,31 @@ def _numeric(t: pa.DataType) -> bool:
 
 
 def _as_column_type(value, typ: pa.DataType, col: str):
-    """The filter value as an Arrow scalar/array comparable with ``typ``.
-    Numbers against a numeric column keep their own type (compute kernels
-    promote int/float pairs exactly: ``n:>=2.5`` on an int column works);
-    anything else is cast to the column type (``warc_ts:>=2021-01-15`` →
-    timestamp).  A value that does not cast is a loud ``ValueError`` naming
-    the field, never a filter that silently matches nothing."""
+    """The filter value as an Arrow scalar/array comparable with ``typ`` —
+    the one place a filter value gets its type (the query-string parser
+    keeps the raw text, so ``code:007`` against a string column matches
+    ``"007"``).  Numbers against a numeric column keep their own type
+    (compute kernels promote int/float pairs exactly); anything else is
+    cast to the column type (``warc_ts:>=2021-01-15`` → timestamp), and a
+    string the integer cast rejects is cast to float64 (``n:>=2.5`` on an
+    int column).  A value that does not cast is a loud ``ValueError``
+    naming the field, never a filter that silently matches nothing."""
     v = pa.array(list(value)) if isinstance(value, (list, tuple, set)) \
         else pa.scalar(value)
     if v.type == typ or (_numeric(v.type) and _numeric(typ)):
         return v
-    try:
-        return v.cast(typ)
-    except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError) as e:
-        raise ValueError(
-            f"{col}: cannot compare {value!r} with the docs column type {typ}"
-        ) from e
+    casts = [typ]
+    if pa.types.is_integer(typ) and pa.types.is_string(v.type):
+        casts.append(pa.float64())
+    for to in casts:
+        try:
+            return v.cast(to)
+        except (pa.ArrowInvalid, pa.ArrowNotImplementedError,
+                pa.ArrowTypeError) as e:
+            err = e
+    raise ValueError(
+        f"{col}: cannot compare {value!r} with the docs column type {typ}"
+    ) from err
 
 
 class DocStore:
@@ -132,13 +141,13 @@ class DocStore:
 
 def search_phrase(engine, query: str, k: int, docs_path: Optional[str] = None,
                   text_col: Optional[str] = None) -> List[Tuple[int, float]]:
-    """Phrase match (ES ``match_phrase``) for either engine: conjunctive
-    candidates from the engine's postings (scored with its BM25 AND path),
+    """Phrase match (ES ``match_phrase``, the body of
+    ``QueryEngine.search_phrase``): conjunctive candidates from the
+    engine's postings (scored with its BM25 AND path),
     then exact consecutive-terms verification of each candidate's text
     from the engine's ``DocStore`` — the standard positionless design.
     Texts are analyzed with the engine's memoized analyzer, the same chain
-    that built the index.  Engines provide ``manifest``, ``docstore``,
-    ``_analyze`` and ``_search_and_terms``."""
+    that built the index."""
     docs_path = docs_path or engine.manifest.get("docs_path")
     text_col = text_col or engine.manifest.get("docs_text_col", "text")
     if docs_path is None:

@@ -221,14 +221,14 @@ class _Parser:
             if v.startswith(pre):
                 op, v = pre, v[len(pre):]
                 break
-        return Filter(col, op, _coerce(v))
+        return Filter(col, op, v)
 
 
 def prefix_range(sorted_terms: List[str], prefix: str,
                  limit: Optional[int] = None) -> List[str]:
     """Terms in a sorted vocabulary starting with ``prefix`` — the one
-    wildcard-expansion kernel, shared by QueryEngine.expand_prefix and
-    SegmentEngine.expand_prefix.  ``limit`` caps at the lexicographically
+    wildcard-expansion kernel behind QueryEngine.expand_prefix (over the
+    index or one shard's vocabulary).  ``limit`` caps at the lexicographically
     FIRST ``limit`` matches (ES max_expansions-style, deterministic)."""
     import bisect
 
@@ -236,17 +236,6 @@ def prefix_range(sorted_terms: List[str], prefix: str,
     hi = bisect.bisect_left(sorted_terms, prefix + "￿")
     out = sorted_terms[lo:hi]
     return out[:limit] if limit is not None else out
-
-
-def _coerce(v: str) -> object:
-    try:
-        return int(v)
-    except ValueError:
-        pass
-    try:
-        return float(v)
-    except ValueError:
-        return v
 
 
 def _validate(node: Node) -> None:

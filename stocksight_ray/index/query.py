@@ -8,21 +8,29 @@ Replaces the ES/Lucene query side the reference reaches through Kibana
     tf_norm    = tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl))
     score(d,q) = Σ_t idf(t) · tf_norm(t, d)
 
-Three scorers, required to agree exactly (same per-doc float summation
+Two scorers, required to agree exactly (same per-doc float summation
 order — query-term order — so even exact score ties match):
   * ``search(..., method="exhaustive")`` — term-at-a-time accumulation into a
     dense score array (obviously correct; the oracle baseline);
-  * ``search(..., method="wand")``       — windowed Block-Max scorer: the
-    docid space is swept in fixed windows; a window is skipped without
-    decoding when the sum of per-term block-max upper bounds cannot beat the
-    running top-k threshold; surviving windows are scored with vectorized
-    numpy over the decoded blocks (the serving hot path);
-  * ``search(..., method="wand_doc")``   — classic per-document Block-Max
-    WAND with pivoting (the textbook reference; slower in CPython, kept for
-    cross-checking the pruning logic).
+  * ``search(..., method="wand")``       — windowed Block-Max scorer (the
+    default): the docid space is swept in fixed windows; a window is
+    skipped without decoding when the sum of per-term block-max upper
+    bounds cannot beat the running top-k threshold; surviving windows are
+    scored with vectorized numpy over the decoded postings.
 
 Ties broken by doc_id ascending (explicit, so rank-identity is well-defined).
 Duplicate query terms are deduplicated (one contribution per distinct term).
+
+One engine serves either the whole index (``QueryEngine(index_dir)``) or one
+committed segment of a segmented index (``QueryEngine(index_dir, shard=s)``,
+index/segments.py): a shard engine reads the shard's postings, norms and
+tombstones, and replaces each term's df with the GLOBAL df, so its scores
+equal the global engine's and the per-shard top-k lists of
+``serve.ShardedQueryService`` merge into exactly the global top-k (the
+coordinating-node merge of an ES search).  Shard actors score OR queries
+exhaustively: over a shard-sized accumulator the dense path beats block-max
+once postings are warm (p50 summed over 3 shards at 22.7k docs: 0.40 ms
+exhaustive vs 0.77 ms block-max, 1 vCPU).
 
 The engine is a library object (loadable inside query-serving actors); it
 memory-maps nothing mutable — index partitions are immutable parquet files
@@ -31,7 +39,6 @@ loaded lazily per ``part = crc32(term) % P`` and cached.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,43 +52,30 @@ from .docstore import DocStore
 
 
 class _TermPostings:
-    __slots__ = ("df", "cf", "meta", "payload", "blocks")
+    __slots__ = ("df", "cf", "meta", "payload", "_full")
 
     def __init__(self, df: int, cf: int, meta: np.ndarray, payload: bytes):
         self.df = df
         self.cf = cf
         self.meta = meta  # decoded block-meta structured array
         self.payload = payload
-        # cross-query decoded-block cache {block_idx: (docids, tfs)} — head
-        # terms recur across queries; a production deployment bounds this
-        # with an LRU keyed by (term, block).
-        self.blocks: Dict[int, tuple] = {}
-
-    def block(self, bi: int):
-        blk = self.blocks.get(bi)
-        if blk is None:
-            blk = codec.decode_block(self.payload, self.meta[bi])
-            self.blocks[bi] = blk
-        return blk
+        self._full = None
 
     def full(self):
-        """Concatenated (docids, tfs) across all blocks, cached — the warm
-        serving path.  Bounded per serving shard (salt-range sharding at
-        trillion-doc scale); a cold-path engine can stay block-lazy via
-        block()/wand_doc.  Decodes locally WITHOUT populating the per-block
-        cache (that would hold every posting twice in deep-warmed actors)."""
-        f = self.blocks.get(-1)
-        if f is None:
+        """Concatenated (docids, tfs) across all blocks, decoded once and
+        cached — the warm serving path (head terms recur across queries).
+        Bounded per serving shard (salt-range sharding at trillion-doc
+        scale)."""
+        if self._full is None:
             parts = [
                 codec.decode_block(self.payload, self.meta[bi])
                 for bi in range(self.meta.size)
             ]
-            f = (
+            self._full = (
                 np.concatenate([d for d, _ in parts]),
                 np.concatenate([t for _, t in parts]),
             )
-            self.blocks[-1] = f
-        return f
+        return self._full
 
 
 def _binary_views(arr: pa.Array):
@@ -101,8 +95,8 @@ def _binary_views(arr: pa.Array):
 
 
 def read_postings_table(path: str) -> Dict[str, _TermPostings]:
-    """Load one postings parquet file → {term: _TermPostings} (shared by
-    the global engine's partition loader and segment serving).  Arrow-native:
+    """Load one postings parquet file → {term: _TermPostings} (one
+    partition of the index or of a segment).  Arrow-native:
     df/cf come out as numpy, meta/payload as zero-copy buffer views — only
     the term strings (dict keys) materialize as Python objects."""
     from .. import fsio
@@ -125,11 +119,18 @@ def read_postings_table(path: str) -> Dict[str, _TermPostings]:
 
 
 class QueryEngine:
-    def __init__(self, index_dir: str):
+    """BM25 engine over the whole index, or over one committed segment when
+    ``shard`` is given (see the module docstring)."""
+
+    def __init__(self, index_dir: str, shard: Optional[int] = None):
+        import pyarrow.dataset as pads
+
         from .. import fsio
+        from .deletes import load_deletes
 
         self.manifest = fsio.read_json(fsio.join(index_dir, "manifest.json"))
         self.index_dir = index_dir
+        self.shard = shard
         self.N = int(self.manifest["num_docs"])
         self.avgdl = float(self.manifest["avgdl"]) or 1.0
         self.k1 = float(self.manifest["k1"])
@@ -140,11 +141,24 @@ class QueryEngine:
         self._analyze = make_cached_analyzer(self.manifest["analyzer"])
         self._parts: Dict[int, Dict[str, _TermPostings]] = {}
 
+        # where postings, norms and tombstones come from: the final index,
+        # or one segment's own files and its lineage's doc_id range
+        if shard is None:
+            self._postings_dir = fsio.join(index_dir, "index")
+            norms_path = fsio.join(index_dir, "norms")
+            self._id_range: Tuple[Optional[int], Optional[int]] = (None, None)
+        else:
+            self._postings_dir = fsio.join(
+                index_dir, "segments", f"shard-{shard:05d}")
+            norms_path = fsio.join(self._postings_dir, "norms.parquet")
+            lineage = fsio.read_json(
+                fsio.join(self._postings_dir, "lineage.json"))
+            self._id_range = (int(lineage["doc_id_lo"]),
+                              int(lineage["doc_id_hi"]))
+
         # doc_len store: doc_id-indexed dense array when ids are dense,
         # else (sorted ids, lens) for searchsorted lookup.
-        import pyarrow.dataset as pads
-
-        _nfs, _npath = fsio.resolve(fsio.join(index_dir, "norms"))
+        _nfs, _npath = fsio.resolve(norms_path)
         norms = pads.dataset(_npath, filesystem=_nfs).to_table()
         ids = norms["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         lens = norms["doc_len"].to_numpy(zero_copy_only=False).astype(np.int32)
@@ -164,16 +178,14 @@ class QueryEngine:
         # memory — every scorer path filters against it exactly; N/avgdl/df
         # stay the manifest's (stale-until-compact, Lucene live-docs
         # semantics) so scores of surviving docs are unchanged by a delete.
-        from .deletes import load_deletes
-
-        self._deleted = load_deletes(index_dir)
+        self._deleted = load_deletes(index_dir, *self._id_range)
 
     def refresh_deletes(self) -> int:
         """Re-read the tombstone set (after a delete_docs on a live
         engine).  Returns the number of tombstoned ids."""
         from .deletes import load_deletes
 
-        self._deleted = load_deletes(self.index_dir)
+        self._deleted = load_deletes(self.index_dir, *self._id_range)
         return int(self._deleted.size)
 
     def _live(self, docs: np.ndarray) -> np.ndarray:
@@ -192,8 +204,20 @@ class QueryEngine:
             return cached
         from .. import fsio
 
-        path = fsio.join(self.index_dir, "index", f"part-{part:05d}.parquet")
-        table = read_postings_table(path)
+        name = f"part-{part:05d}.parquet"
+        table = read_postings_table(fsio.join(self._postings_dir, name))
+        if self.shard is not None and table:
+            # a segment's df counts its own docs: replace it with the
+            # global df from a projected (term, df) read of the same
+            # partition of the final index, so shard scores equal global
+            import pyarrow.compute as pc
+
+            g = fsio.read_table(fsio.join(self.index_dir, "index", name),
+                                columns=["term", "df"])
+            g = g.filter(pc.is_in(g["term"],
+                                  value_set=pa.array(list(table), pa.string())))
+            for t, df in zip(g["term"].to_pylist(), g["df"].to_pylist()):
+                table[t].df = int(df)
         self._parts[part] = table
         return table
 
@@ -202,21 +226,24 @@ class QueryEngine:
 
     def expand_prefix(self, prefix: str, limit: Optional[int] = None) -> List[str]:
         """Dictionary terms starting with ``prefix``, sorted (wildcard-term
-        expansion for index/qparse.py).  The full sorted vocabulary is
-        built lazily from projected term-column reads of every partition
-        (strings only — no df/payload bytes) and cached; term dictionaries
-        are O(vocabulary), tiny next to postings even at corpus scale."""
+        expansion for index/qparse.py).  The full sorted vocabulary of the
+        served directory (the index, or one segment) is built lazily from
+        projected term-column reads of every partition (strings only — no
+        df/payload bytes) and cached; term dictionaries are O(vocabulary),
+        tiny next to postings even at corpus scale.  A segment's expansions
+        union over all shards to exactly the global expansion set, so
+        sharded ``search_query`` equals the global one as long as ``limit``
+        stays None."""
         allt = getattr(self, "_all_terms", None)
         if allt is None:
             from .. import fsio
 
             terms: List[str] = []
-            idx_dir = fsio.join(self.index_dir, "index")
-            for name in fsio.listdir(idx_dir):
+            for name in fsio.listdir(self._postings_dir):
                 if name.startswith("part-") and name.endswith(".parquet"):
                     terms.extend(
                         fsio.read_table(
-                            fsio.join(idx_dir, name), columns=["term"]
+                            fsio.join(self._postings_dir, name), columns=["term"]
                         )["term"].to_pylist()
                     )
             allt = self._all_terms = sorted(terms)
@@ -224,13 +251,13 @@ class QueryEngine:
 
         return prefix_range(allt, prefix, limit)
 
-    def warm(self, deep: bool = False) -> None:
+    def warm(self, deep: bool = True) -> None:
         """Preload every index partition (term dictionary + block metadata).
         A serving actor calls this once in __init__ so query latency never
-        pays cold parquet reads.  ``deep=True`` also decodes every term's
-        postings into the cache (one-time cost ~ index size) and loads the
-        manifest docs table's text column into the DocStore, so even the
-        first query per term or phrase runs at warm latency."""
+        pays cold parquet reads.  ``deep`` (the default) also decodes every
+        term's postings into the cache (one-time cost ~ index size) and
+        loads the manifest docs table's text column into the DocStore, so
+        even the first query per term or phrase runs at warm latency."""
         for part in range(self.num_partitions):
             table = self._load_part(part)
             if deep:
@@ -256,16 +283,15 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
     def search(
-        self, query: str, k: int = 10, method: str = "auto"
+        self, query: str, k: int = 10, method: str = "wand"
     ) -> List[Tuple[int, float]]:
-        """Top-k [(doc_id, score)] for an OR (match) query.
-
-        method="auto" picks the regime winner (all methods are exactly
-        rank- and score-identical): dense term-at-a-time when the query's
-        postings are a sizable fraction of the shard (accumulator cost is
-        amortized), windowed block-max when postings are sparse relative to
-        the shard (selective terms — pruning + O(postings) work wins, and no
-        shard-sized allocation)."""
+        """Top-k [(doc_id, score)] for an OR (match) query, scored with
+        ``method`` "wand" (block-max, the default) or "exhaustive"; both
+        are exactly rank- and score-identical.  Any other method raises
+        ``ValueError``."""
+        if method not in ("wand", "exhaustive"):
+            raise ValueError(
+                f"method must be 'wand' or 'exhaustive', got {method!r}")
         if k <= 0:
             return []
         terms = self.analyze_query(query)
@@ -273,15 +299,8 @@ class QueryEngine:
         posts = [(t, p) for t, p in posts if p is not None]
         if not posts:
             return []
-        if method == "auto":
-            # measured: the windowed block-max scorer beats the dense path at
-            # every selectivity once postings are cache-warm (theta pruning +
-            # O(postings-in-window) work); the dense path remains the oracle.
-            method = "wand"
         if method == "exhaustive":
             return self._search_exhaustive(posts, k)
-        if method == "wand_doc":
-            return self._search_wand(posts, k)
         return self._search_bmw(posts, k)
 
     def _positions(self, docids: np.ndarray) -> np.ndarray:
@@ -412,148 +431,6 @@ class QueryEngine:
         return [(int(d), float(s)) for d, s in zip(top_docs, top_scores)]
 
     # ------------------------------------------------------------------
-    class _Cursor:
-        """Block-wise postings cursor for WAND."""
-
-        __slots__ = ("idx", "w", "meta", "payload", "bi", "pos", "docids", "tfs", "ub")
-
-        def __init__(self, idx: int, w: float, p: _TermPostings, engine: "QueryEngine"):
-            self.idx = idx  # query-term position: fixes float summation order
-            self.w = w
-            self.meta = p.meta
-            self.payload = p.payload
-            self.bi = -1
-            self.pos = 0
-            self.docids: Optional[np.ndarray] = None
-            self.tfs: Optional[np.ndarray] = None
-            # per-block score upper bounds: idf * tfnorm(max_tf, min_dl)
-            self.ub = w * codec.block_upper_bounds(p.meta, engine.avgdl, engine.k1, engine.b)
-            self._open_block(0)
-
-        def _open_block(self, bi: int) -> None:
-            self.bi = bi
-            self.pos = 0
-            self.docids = None  # decoded lazily on first access
-            self.tfs = None
-
-        def exhausted(self) -> bool:
-            return self.bi >= self.meta.size
-
-        def _ensure_decoded(self, engine: "QueryEngine") -> None:
-            if self.docids is None:
-                self.docids, self.tfs = codec.decode_block(self.payload, self.meta[self.bi])
-
-        def cur_doc(self, engine: "QueryEngine") -> int:
-            """Current candidate docid (uses block meta when undecoded)."""
-            if self.exhausted():
-                return 1 << 62
-            if self.docids is None and self.pos == 0:
-                return int(self.meta[self.bi]["first"])
-            self._ensure_decoded(engine)
-            return int(self.docids[self.pos])
-
-        def max_remaining_ub(self) -> float:
-            if self.exhausted():
-                return 0.0
-            return float(self.ub[self.bi :].max())
-
-        def advance_to(self, target: int, engine: "QueryEngine") -> None:
-            """Move to the first posting with docid >= target (block skipping
-            via last-docid metadata — blocks never decoded when skipped)."""
-            while not self.exhausted() and int(self.meta[self.bi]["last"]) < target:
-                self._open_block(self.bi + 1)
-            if self.exhausted():
-                return
-            self._ensure_decoded(engine)
-            self.pos = int(np.searchsorted(self.docids, target, side="left"))
-            if self.pos >= self.docids.size:  # defensive; last>=target ⇒ in block
-                self._open_block(self.bi + 1)
-                if not self.exhausted():
-                    self._ensure_decoded(engine)
-                    self.pos = 0
-
-        def advance_past(self, doc: int, engine: "QueryEngine") -> None:
-            self.advance_to(doc + 1, engine)
-
-        def score_at(self, doc: int, engine: "QueryEngine") -> float:
-            self._ensure_decoded(engine)
-            tf = int(self.tfs[self.pos])
-            dl = int(engine.doc_lens(np.array([doc], dtype=np.int64))[0])
-            tfn = codec.tf_norm(
-                np.array([tf]), np.array([dl]), engine.avgdl, engine.k1, engine.b
-            )[0]
-            return self.w * float(tfn)
-
-    def _search_wand(self, posts, k: int) -> List[Tuple[int, float]]:
-        cursors = [
-            self._Cursor(i, self.idf(p.df), p, self) for i, (_, p) in enumerate(posts)
-        ]
-        # top-k min-heap of (score, -doc_id) so ties prefer SMALLER doc_id:
-        # a new (score, doc) beats heap-min iff score higher, or equal score
-        # and smaller doc.
-        heap: List[Tuple[float, int]] = []
-        theta = -np.inf  # current k-th best score (entry threshold)
-
-        def consider(doc: int, score: float) -> None:
-            nonlocal theta
-            entry = (score, -doc)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-                if len(heap) == k:
-                    theta = heap[0][0]
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
-                theta = heap[0][0]
-
-        while True:
-            live = [c for c in cursors if not c.exhausted()]
-            if not live:
-                break
-            live.sort(key=lambda c: c.cur_doc(self))
-            # find pivot: smallest prefix whose UB sum can beat theta
-            ub_sum = 0.0
-            pivot_idx = -1
-            for i, c in enumerate(live):
-                ub_sum += c.max_remaining_ub()
-                if len(heap) < k or ub_sum >= theta:
-                    pivot_idx = i
-                    break
-            if pivot_idx == -1:
-                break  # no prefix can beat theta
-            pivot_doc = live[pivot_idx].cur_doc(self)
-            if self._deleted.size and not self._live(
-                np.array([pivot_doc], dtype=np.int64)
-            )[0]:
-                # tombstoned pivot: never scored; every cursor sitting on it
-                # (at least live[pivot_idx]) skips past.  Docs below the
-                # pivot stay safe to skip — only sub-theta prefixes can
-                # score them, same argument as the undeleted pivot move.
-                for c in live:
-                    if c.cur_doc(self) == pivot_doc:
-                        c.advance_past(pivot_doc, self)
-                continue
-            if live[0].cur_doc(self) == pivot_doc:
-                # all cursors up to pivot aligned on pivot_doc → score it,
-                # summing in query-term order (same float order as the
-                # exhaustive scorer, so exact ties stay exact)
-                score = 0.0
-                for c in sorted(
-                    (c for c in live if c.cur_doc(self) == pivot_doc),
-                    key=lambda c: c.idx,
-                ):
-                    score += c.score_at(pivot_doc, self)
-                consider(pivot_doc, score)
-                for c in live:
-                    if c.cur_doc(self) == pivot_doc:
-                        c.advance_past(pivot_doc, self)
-            else:
-                # advance one of the leading cursors to the pivot
-                live[0].advance_to(pivot_doc, self)
-
-        out = sorted(heap, key=lambda e: (-e[0], -e[1]))
-        return [(int(-nd), float(s)) for s, nd in out]
-
-    # ------------------------------------------------------------------
     def search_and(self, query: str, k: int = 10) -> List[Tuple[int, float]]:
         """Conjunctive (operator=AND) match: only docs containing EVERY
         query term, scored with the same BM25 sum (ES ``match`` with
@@ -603,8 +480,7 @@ class QueryEngine:
         """Phrase match (ES ``match_phrase``, the reference's Kibana
         saved-search filter): conjunctive candidates from the index, then
         exact consecutive-terms verification of their texts, taken from the
-        engine's in-memory DocStore (index/docstore.py::search_phrase, the
-        one verification path shared with SegmentEngine)."""
+        engine's in-memory DocStore (index/docstore.py::search_phrase)."""
         from .docstore import search_phrase as _sp
 
         return _sp(self, query, k, docs_path, text_col)
@@ -700,7 +576,13 @@ class QueryEngine:
         ``sentiment:negative AND "stock market"``, AND/OR/NOT, quoted
         phrases, wildcards (``mark*``), ``field:value`` filter-context
         clauses — parsed and composed over the primitives above.  See
-        index/qparse.py for the grammar and ES bool-query semantics."""
+        index/qparse.py for the grammar and ES bool-query semantics.
+
+        A ``field:value`` clause is a non-scoring filter that contributes
+        score 0 to a scored OR, so ``market OR lang:en`` returns every
+        English doc (ranked below the BM25 matches of ``market``).  ES
+        ``query_string`` differs: it scores ``field:value`` as a term
+        query."""
         from .qparse import search_query as _sq
 
         return _sq(self, query, k)
@@ -714,7 +596,7 @@ class QueryEngine:
         return _md(self, query, columns=columns, docs_path=docs_path)
 
     # ------------------------------------------------------------------
-    def search_table(self, query: str, k: int = 10, method: str = "auto") -> pa.Table:
+    def search_table(self, query: str, k: int = 10, method: str = "wand") -> pa.Table:
         hits = self.search(query, k, method)
         return pa.table(
             {

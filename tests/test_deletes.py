@@ -21,7 +21,7 @@ QUERIES = [
     "running traditional",
     "technology energy",
 ]
-METHODS = ["exhaustive", "wand", "wand_doc"]
+METHODS = ["exhaustive", "wand"]
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def test_deletes_filter_every_path(ray_session, corpus, victim_ids, tmp_path):
         results = {m: eng.search(q, k=10, method=m) for m in METHODS}
         for m, res in results.items():
             assert not del_set & {d for d, _ in res}, (q, m)
-        assert results["exhaustive"] == results["wand"] == results["wand_doc"], q
+        assert results["exhaustive"] == results["wand"], q
         # stale-stats semantics: surviving docs score EXACTLY as before
         for d, s in results["exhaustive"]:
             assert s == pre_scores[q][d], (q, d)

@@ -33,7 +33,7 @@ def golden_docs(ray_session, golden):
     )
 
 
-def _check(index_dir, golden, methods=("wand", "exhaustive", "wand_doc")):
+def _check(index_dir, golden, methods=("wand", "exhaustive")):
     from stocksight_ray.index.query import QueryEngine
 
     eng = QueryEngine(index_dir)

@@ -155,3 +155,52 @@ def test_extreme_head_term_skew(ray_session, tmp_path):
     assert np.array_equal(ids1, np.arange(n))
     for q in ["ubiquitous term", "unique42 filler", "term number"]:
         assert e1.search(q, 10) == e2.search(q, 10)
+
+
+@pytest.fixture(scope="module")
+def sharded(ray_session, tmp_path_factory):
+    """A 3-shard segmented index and its ShardedQueryService."""
+    import pyarrow as pa
+
+    from stocksight_ray.index.segments import build_resumable
+    from stocksight_ray.index.serve import ShardedQueryService
+
+    n = 40
+    texts = [f"stock market report {'strong' if i % 3 else 'weak'} {i}"
+             for i in range(n)]
+    docs = pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                     "text": pa.array(texts, pa.string())})
+    out = str(tmp_path_factory.mktemp("sharded_modes"))
+    build_resumable(rd.from_arrow(docs), out, text_col="text",
+                    num_partitions=2, salt_range=16, shard_docs=16,
+                    batch_size=16)
+    svc = ShardedQueryService(out)
+    yield out, svc
+    svc.shutdown()
+
+
+@pytest.mark.parametrize("target, bad", [
+    ("engine", "wand_doc"), ("engine", "auto"), ("engine", "Exhaustive"),
+    ("shard", "wand_doc"), ("shard", "auto"),
+    ("service", "AND"), ("service", "phrase"), ("service", ""),
+])
+def test_bad_method_or_mode_raises(sharded, target, bad):
+    """An unknown scorer or service mode fails loudly instead of silently
+    running some other scorer; the valid values still answer."""
+    out, svc = sharded
+    eng = QueryEngine(out)
+    if target == "service":
+        with pytest.raises(ValueError, match="mode"):
+            svc.search("strong market", k=10, mode=bad)
+        assert svc.search("strong market", k=10, mode="and") == \
+            eng.search_and("strong market", k=10)
+        assert svc.search("strong market", k=10, mode="or") == \
+            eng.search("strong market", k=10)
+        return
+    if target == "shard":
+        eng = QueryEngine(out, shard=1)
+    for k in (10, 0):
+        with pytest.raises(ValueError, match="method"):
+            eng.search("strong market", k=k, method=bad)
+    assert eng.search("strong market", k=10, method="wand") == \
+        eng.search("strong market", k=10, method="exhaustive")

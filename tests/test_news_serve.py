@@ -97,20 +97,6 @@ def test_search_dataset_query_string_mode(ray_session, built_index):
         ]
 
 
-def test_query_service_actors(ray_session, built_index):
-    from stocksight_ray.index.query import QueryEngine
-    from stocksight_ray.index.serve import QueryService
-
-    svc = QueryService(built_index, num_actors=2)
-    eng = QueryEngine(built_index)
-    queries = ["stock market", "running traditional", "buy sell hold"]
-    got = svc.search_many(queries, k=5)
-    for q, res in zip(queries, got):
-        assert res == eng.search(q, 5)
-    assert svc.search("stock market", 5) == eng.search("stock market", 5)
-    svc.shutdown()
-
-
 def test_sharded_query_service(ray_session, webtext_table, tmp_path):
     """Per-segment shard actors + distributed top-k merge == the global
     engine exactly (scores comparable because idf/avgdl are global)."""
@@ -144,7 +130,8 @@ def test_sharded_service_k_guard(ray_session, webtext_table, tmp_path):
     import ray.data as rd
 
     from stocksight_ray.index.segments import build_resumable
-    from stocksight_ray.index.serve import SegmentEngine, ShardedQueryService
+    from stocksight_ray.index.query import QueryEngine
+    from stocksight_ray.index.serve import ShardedQueryService
     from stocksight_ray.pipelines.ingest import ingest_webtext
 
     docs = (
@@ -157,5 +144,5 @@ def test_sharded_service_k_guard(ray_session, webtext_table, tmp_path):
     svc = ShardedQueryService(out)
     assert svc.search("stock market", k=0) == []
     assert svc.search("stock market", k=-1) == []
-    assert SegmentEngine(out, 0).search("stock market", k=0) == []
+    assert QueryEngine(out, shard=0).search("stock market", k=0) == []
     svc.shutdown()

@@ -47,8 +47,10 @@ def test_parse_phrase_and_field():
     assert parse('"stock market"') == Phrase("stock market")
     assert parse("lang:en") == Filter("lang", "==", "en")
     assert parse('kind:"news item"') == Filter("kind", "==", "news item")
-    assert parse("n_chars:>=500") == Filter("n_chars", ">=", 500)
-    assert parse("score:<0.5") == Filter("score", "<", 0.5)
+    # values stay raw text: the docs column's type decides (docstore)
+    assert parse("n_chars:>=500") == Filter("n_chars", ">=", "500")
+    assert parse("score:<0.5") == Filter("score", "<", "0.5")
+    assert parse("code:007") == Filter("code", "==", "007")
     assert parse('sentiment:negative AND "stock market"') == And(
         (Filter("sentiment", "==", "negative"), Phrase("stock market"))
     )
@@ -469,6 +471,25 @@ def test_filter_value_cast_to_column_type(ray_session, qs_index, tmp_path):
         eng.search_query("nosuchcol:x", k=10)
 
 
+def test_filter_value_keeps_text_for_string_column(ray_session, qs_index,
+                                                   tmp_path):
+    """A numeric-looking value against a string column compares as the
+    text typed: ``code:007`` matches ``"007"`` and not ``"7"``."""
+    src, rows = qs_index
+    out = str(shutil.copytree(src, tmp_path / "idx"))
+    codes = ["007", "7", "07", "007", "7.0", "x", "7", "007"]
+    docs = _meta_docs(rows).append_column("code", pa.array(codes))
+    docs_path = str(tmp_path / "docs_code.parquet")
+    pq.write_table(docs, docs_path)
+    _set_docs(out, docs_path)
+    eng = _engine(out)
+    for value in ("007", "7", "7.0"):
+        exp = [(i, 0.0) for i, c in enumerate(codes) if c == value]
+        assert eng.search_query(f"code:{value}", k=100) == exp, value
+    assert eng.search_query("code:>=7", k=100) == \
+        [(i, 0.0) for i, c in enumerate(codes) if c >= "7"]
+
+
 def test_docstore_single_pass_equals_scan_through_compact(
         ray_session, qs_index, tmp_path):
     """QueryEngine phrase/filter hits == independent scans before and
@@ -518,7 +539,7 @@ def test_docstore_single_pass_equals_scan_through_compact(
 
 def test_docstore_sharded_equals_scan_through_compact(
         ray_session, qs_index, tmp_path):
-    """SegmentEngine and ShardedQueryService phrase/filter hits ==
+    """Shard engines and ShardedQueryService phrase/filter hits ==
     independent scans == QueryEngine, before and after delete + compact;
     a segmented compact keeps docs_path / docs_text_col."""
     import json
@@ -527,7 +548,8 @@ def test_docstore_sharded_equals_scan_through_compact(
 
     from stocksight_ray.index.deletes import compact, delete_docs
     from stocksight_ray.index.segments import build_resumable
-    from stocksight_ray.index.serve import SegmentEngine, ShardedQueryService
+    from stocksight_ray.index.query import QueryEngine
+    from stocksight_ray.index.serve import ShardedQueryService
 
     _, rows = qs_index
     docs = _meta_docs(rows)
@@ -552,7 +574,7 @@ def test_docstore_sharded_equals_scan_through_compact(
         _assert_engine_equals_scan(eng, docs, live)
         shards = [s["shard"] for s in eng.manifest["segments"]]
         assert len(shards) == 2
-        segs = [SegmentEngine(out, s) for s in shards]
+        segs = [QueryEngine(out, shard=s) for s in shards]
         for seg in segs:
             seg.warm()
         svc = ShardedQueryService(out)

@@ -19,15 +19,7 @@ PREFIXES = ["sto", "re", "zz", "q"]
 KINDS = ["tweet", "news"]
 
 
-@pytest.fixture(scope="module")
-def prop_index(ray_session, tmp_path_factory):
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from stocksight_ray.index.build import build_index
-
+def _prop_docs():
     rng = np.random.RandomState(7)
     n = 60
     texts = [
@@ -37,12 +29,24 @@ def prop_index(ray_session, tmp_path_factory):
         ))
         for _ in range(n)
     ]
-    docs = pa.table({
+    return pa.table({
         "doc_id": pa.array(range(n), pa.int64()),
         "text": pa.array(texts, pa.string()),
         "kind": pa.array([KINDS[i % 2] for i in range(n)], pa.string()),
         "n": pa.array([i * 5 for i in range(n)], pa.int64()),
     })
+
+
+@pytest.fixture(scope="module")
+def prop_index(ray_session, tmp_path_factory):
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from stocksight_ray.index.build import build_index
+
+    docs = _prop_docs()
     out = str(tmp_path_factory.mktemp("prop_index"))
     docs_path = os.path.join(out, "docs.parquet")
     pq.write_table(docs, docs_path)
@@ -54,6 +58,47 @@ def prop_index(ray_session, tmp_path_factory):
     from stocksight_ray.index.query import QueryEngine
 
     return QueryEngine(out), docs
+
+
+SEG_DELETES = [0, 5, 17, 18, 33, 59]  # spread over every shard
+
+
+@pytest.fixture(scope="module")
+def prop_seg_index(ray_session, tmp_path_factory):
+    """The prop_index corpus as a segmented index of 4 shards, fresh and
+    after ``delete_docs``: [(global engine, shard engines)] per state."""
+    import json
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from stocksight_ray.index.deletes import delete_docs
+    from stocksight_ray.index.query import QueryEngine
+    from stocksight_ray.index.segments import build_resumable
+
+    docs = _prop_docs()
+    root = str(tmp_path_factory.mktemp("prop_seg_index"))
+    docs_path = os.path.join(root, "docs.parquet")
+    pq.write_table(docs, docs_path)
+    out = os.path.join(root, "built")
+    build_resumable(rd.from_arrow(docs.select(["doc_id", "text"])), out,
+                    text_col="text", num_partitions=4, salt_range=16,
+                    shard_docs=16, batch_size=16)
+    mpath = os.path.join(out, "manifest.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    m.update({"docs_path": docs_path, "docs_text_col": "text"})
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+    deleted = shutil.copytree(out, os.path.join(root, "deleted"))
+    delete_docs(deleted, SEG_DELETES)
+
+    shards = [s["shard"] for s in m["segments"]]
+    assert len(shards) >= 3
+    return [(QueryEngine(d), [QueryEngine(d, shard=s) for s in shards])
+            for d in (out, deleted)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +234,51 @@ def test_qparse_membership_matches_naive(prop_index, node):
     got = execute(eng, node, k=1 << 30)
     exp_set = set() if exp is _NEUTRAL else exp
     assert {d for d, _ in got} == exp_set, node
+
+
+# ---------------------------------------------------------------------------
+# sharded = global: per-shard engines merged equal the whole-index engine
+# ---------------------------------------------------------------------------
+
+def render(node) -> str:
+    """A query string that parses back to ``node``'s boolean structure."""
+    if isinstance(node, Term):
+        return node.text
+    if isinstance(node, Prefix):
+        return node.text + "*"
+    if isinstance(node, Phrase):
+        return f'"{node.text}"'
+    if isinstance(node, Filter):
+        return f"{node.col}:{'' if node.op == '==' else node.op}{node.value}"
+    if isinstance(node, Not):
+        return f"NOT {render(node.child)}"
+    sep = " AND " if isinstance(node, And) else " OR "
+    return "(" + sep.join(render(c) for c in node.children) + ")"
+
+
+def _merged(shards, fn, k):
+    hits = sorted((h for e in shards for h in fn(e)),
+                  key=lambda ds: (-ds[1], ds[0]))
+    return hits[:k]
+
+
+@given(words=st.lists(st.sampled_from(WORDS + ["earnings", "rises"]),
+                      min_size=1, max_size=3),
+       node=node_strategy, k=st.integers(min_value=1, max_value=12))
+@settings(max_examples=30, deadline=None)
+def test_sharded_equals_global(prop_seg_index, words, node, k):
+    text, qs = " ".join(words), render(node)
+    for glob, shards in prop_seg_index:
+        for method in ("wand", "exhaustive"):
+            assert _merged(shards, lambda e: e.search(text, k, method), k) \
+                == glob.search(text, k, method), (text, method)
+        assert _merged(shards, lambda e: e.search_and(text, k), k) == \
+            glob.search_and(text, k), text
+        try:
+            exp = glob.search_query(qs, k)
+        except ValueError:
+            for e in shards:
+                with pytest.raises(ValueError):
+                    e.search_query(qs, k)
+            continue
+        assert _merged(shards, lambda e: e.search_query(qs, k), k) == exp, qs
