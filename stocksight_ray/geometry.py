@@ -1,4 +1,4 @@
-"""Shuffle-geometry sizing: bucket counts and shard grouping derived from
+"""Shuffle-geometry sizing: bucket and block counts derived from
 cluster CPUs / data size instead of hard constants (VERDICT r2 "Next round"
 #5).
 
@@ -92,9 +92,3 @@ def shuffle_num_blocks(size_bytes: Optional[int], *,
         b = max(b, -(-int(size_bytes) // target_block_bytes))
     return b
 
-
-def auto_shard_group(cap: int = 16) -> int:
-    """Shards per resumable-build pass: enough concurrent shard ranges that
-    the per-pass barriers amortize (each pass pays ~3 barriers regardless of
-    group size), capped so a mid-pass crash rebuilds a bounded amount."""
-    return max(1, min(cap, cluster_cpus() // 4))

@@ -5,13 +5,18 @@ Replaces the ES/Lucene segment build the reference delegates to
 Ray Data pipeline:
 
     docs (id, text)
-      → map_batches(TokenizeStage, actor pool)           # analyzer terms
-      → map_batches(spimi_partial)                       # local invert per
-            batch → rows (part, term, salt, df, cf, ids/tfs/dls varbyte)
-      → groupby([part, salt]).map_groups(merge)          # shuffle 1: merge
+      → map_batches(_tokenize_task) → materialize         # analyzer terms
+      → map_batches(spimi_partial, per block)             # local invert per
+            block → rows (part, term, salt, df, cf, ids/tfs/dls varbyte)
+      → repartition(shuffle_num_blocks)                   # coalesce
+      → groupby([part, salt]).map_groups(merge)           # shuffle 1: merge
             partials per term within a salt range → encoded block runs
-      → groupby(part).map_groups(write_partition)        # shuffle 2 (small,
-            compressed): assemble per-partition term files, atomic write
+      → groupby(part).map_groups(write_partition)         # shuffle 2 (small,
+            compressed): assemble per-(shard, part) term files, atomic write
+
+``index_pass`` is this chain, and the only one: ``build_index`` runs it
+once over the whole corpus (one shard), ``segments.build_resumable`` once
+per pass over up to 16 range shards.
 
 Skew handling: ``salt = doc_id // salt_range`` splits a head term's postings
 into bounded docid ranges, so no merge task ever holds more than
@@ -24,7 +29,7 @@ Scale notes: tokenization runs ONCE; the tokenized (doc_id, tokens, doc_len)
 dataset is materialized into the object store and feeds both the norms write
 and the partials pass.  At 100-TB scale the object store spills the tokens
 column to disk — spill-once was measured cheaper than tokenize-twice (the
-analyzer dominates CPU); flip ``single_pass=False`` to trade back.
+analyzer dominates CPU).
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ def term_partition(term: str, num_partitions: int) -> int:
 
 
 class TokenizeStage:
-    """Actor-pool stage: text → analyzer terms + doc_len.
+    """Per-worker stage: text → analyzer terms + doc_len.
 
-    Analyzer state (stopword sets, stem memo cache) is built once per actor
+    Analyzer state (stopword sets, stem memo cache) is built once per stage
     in __init__ — the reference instead re-enters NLTK per record
     (/root/reference/sentiment.py:130-144)."""
 
@@ -82,8 +87,10 @@ _TOKENIZE_CACHE: dict = {}
 def _tokenize_task(batch: pa.Table, *, analyzer, text_col, id_col) -> pa.Table:
     """Task-form TokenizeStage: one stage per (worker process, config),
     reused across tasks — the stem memo cache then persists for the whole
-    worker lifetime instead of one actor's (see build_index for when to
-    prefer the actor-pool form)."""
+    worker lifetime.  Construction is free (analyzer state is module data +
+    an empty memo cache — measured ~3 ms), so tasks on warm worker
+    processes beat an actor pool's cold-start ramp and CPU pinning, and
+    never wait on a pool that holds the only CPU."""
     key = (analyzer, text_col, id_col)
     stage = _TOKENIZE_CACHE.get(key)
     if stage is None:
@@ -261,27 +268,38 @@ def assemble_partition_table(group: pd.DataFrame) -> pa.Table:
     )
 
 
-def make_partition_writer(out_dir: str):
+def make_partition_writer(out_dir: str,
+                          shard_dirs: Optional[Dict[int, str]] = None,
+                          salts_per_shard: Optional[int] = None):
     """Per-partition assembly + atomic write (fsio: local tmp+rename, or
     direct visibility-atomic PUT on object-store URIs — resolved inside the
-    worker task).  Returns a manifest row."""
+    worker task).  Writes ``out_dir/index/part-NNNNN.parquet``; with
+    ``shard_dirs``, each shard's runs (shard = ``salt // salts_per_shard``)
+    go to ``shard_dirs[shard]/part-NNNNN.parquet`` instead.  Returns one
+    manifest row per file (plus its ``shard`` when sharded)."""
 
     def write_partition(group: pd.DataFrame) -> pd.DataFrame:
         from .. import fsio
 
         part = int(group["part"].iloc[0])
-        tbl = assemble_partition_table(group)
-        fsio.makedirs(fsio.join(out_dir, "index"))
-        final = fsio.join(out_dir, "index", f"part-{part:05d}.parquet")
-        fsio.write_table_atomic(tbl, final)  # atomic per-partition checkpoint
-        return pd.DataFrame(
-            {
-                "part": [part],
-                "n_terms": [tbl.num_rows],
-                "n_postings": [int(pa.compute.sum(tbl["df"]).as_py() or 0)],
-                "bytes": [fsio.getsize(final)],
-            }
-        )
+        if shard_dirs is None:
+            pieces = [(None, fsio.join(out_dir, "index"), group)]
+        else:
+            shard = group["salt"].to_numpy(np.int64) // salts_per_shard
+            pieces = [(int(s), shard_dirs[int(s)], group[shard == s])
+                      for s in np.unique(shard)]
+        rows = []
+        for s, d, g in pieces:
+            tbl = assemble_partition_table(g)
+            fsio.makedirs(d)
+            final = fsio.join(d, f"part-{part:05d}.parquet")
+            fsio.write_table_atomic(tbl, final)  # atomic per-partition checkpoint
+            row = {} if s is None else {"shard": s}
+            row.update(part=part, n_terms=tbl.num_rows,
+                       n_postings=int(pa.compute.sum(tbl["df"]).as_py() or 0),
+                       bytes=fsio.getsize(final))
+            rows.append(row)
+        return pd.DataFrame(rows)
 
     return write_partition
 
@@ -303,6 +321,54 @@ def auto_salt_range(n_docs: int, cpus: int,
     return min(sr, DEFAULT_SALT_RANGE)
 
 
+def index_pass(
+    docs,
+    write_partition,
+    *,
+    text_col: str,
+    id_col: str,
+    analyzer: str,
+    num_partitions: int,
+    salt_range: int,
+    batch_size: int,
+):
+    """The SPIMI chain of the module docstring over ``docs``, written by
+    ``write_partition`` (a ``make_partition_writer``).  Returns the
+    materialized (doc_id, tokens, doc_len) dataset, for the caller's norms,
+    and the writer's manifest rows as a DataFrame.
+
+    The partial pass runs per BLOCK (batch_size=None): every batch re-emits
+    one row per (term, salt) it touches, so doc-count batches multiply
+    partial rows for common terms ~(docs-per-block / batch_size)-fold
+    (profiled r3: 6.4M -> 3.4M rows on the 500k-page corpus).  Before the
+    merge shuffle, coalesce to a data-sized block count — the sort's
+    intermediate-object count is quadratic in blocks
+    (geometry.shuffle_num_blocks; merge wall 9.6 s -> 3.1 s at 32 CPUs on
+    the same corpus)."""
+    from ..geometry import shuffle_num_blocks
+
+    tokenized = docs.map_batches(
+        _tokenize_task,
+        fn_kwargs={"analyzer": analyzer, "text_col": text_col, "id_col": id_col},
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    ).materialize()
+    partials = tokenized.map_batches(
+        make_spimi_partial(num_partitions, salt_range),
+        batch_format="pyarrow",
+        batch_size=None,
+    ).repartition(shuffle_num_blocks(tokenized.size_bytes()))
+    merged = partials.groupby(["part", "salt"]).map_groups(
+        merge_bucket, batch_format="pandas"
+    )
+    rows = (
+        merged.groupby("part")
+        .map_groups(write_partition, batch_format="pandas")
+        .to_pandas()
+    )
+    return tokenized, rows
+
+
 def build_index(
     docs,
     out_dir: str,
@@ -312,10 +378,8 @@ def build_index(
     analyzer: str = "english",
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     salt_range: Optional[int] = DEFAULT_SALT_RANGE,
-    tokenize_concurrency: Optional[int] = None,
     batch_size: int = 1024,
     extra_manifest: Optional[dict] = None,
-    single_pass: bool = True,
 ) -> dict:
     """Build a full index layout under ``out_dir`` from a Dataset of
     (id_col:int64, text_col:string).  Returns the manifest dict.
@@ -344,47 +408,19 @@ def build_index(
         else:
             salt_range = DEFAULT_SALT_RANGE
 
-    # TASK form by default: TokenizeStage construction is free (analyzer
-    # state is module data + an empty memo cache — measured ~3 ms), so tasks
-    # on warm worker processes beat an actor pool's cold-start ramp and CPU
-    # pinning; the per-worker cache in _tokenize_task keeps the stem memo
-    # alive across tasks.  Pass ``tokenize_concurrency`` to pin an actor
-    # pool instead (the right shape for genuinely expensive stage state).
-    if tokenize_concurrency is None:
-        tokenize_fn = _tokenize_task
-        tokenize_kwargs = dict(
-            fn_kwargs={"analyzer": analyzer, "text_col": text_col, "id_col": id_col},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    else:
-        tokenize_fn = TokenizeStage
-        tokenize_kwargs = dict(
-            fn_constructor_kwargs={"analyzer": analyzer, "text_col": text_col, "id_col": id_col},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=tokenize_concurrency,
-        )
-
-    if single_pass:
-        # ONE tokenize pass: materialize (doc_id, tokens, doc_len) and feed
-        # both consumers from the object store (spills at scale — see module
-        # docstring for the trade).
-        tokenized = docs.map_batches(tokenize_fn, **tokenize_kwargs).materialize()
-    else:
-        tokenized = None
-
-    def _tokens_ds():
-        if tokenized is not None:
-            return tokenized
-        return docs.map_batches(tokenize_fn, **tokenize_kwargs)
-
-    # Norms table — the query-side doc_len store.  Clear first: Ray's
-    # write_parquet appends UUID-named files, so a rebuild into the same
-    # out_dir would double every doc (wrong N/avgdl/idf).
+    # Clear first: Ray's write_parquet appends UUID-named files, so a
+    # rebuild into the same out_dir would double every doc (wrong
+    # N/avgdl/idf).
     fsio.remove_dir(fsio.join(out_dir, "norms"))
     fsio.remove_dir(fsio.join(out_dir, "index"))
-    _tokens_ds().select_columns(["doc_id", "doc_len"]).write_parquet(
+    tokenized, manifest_rows = index_pass(
+        docs, make_partition_writer(out_dir),
+        text_col=text_col, id_col=id_col, analyzer=analyzer,
+        num_partitions=num_partitions, salt_range=salt_range,
+        batch_size=batch_size,
+    )
+    # Norms table — the query-side doc_len store.
+    tokenized.select_columns(["doc_id", "doc_len"]).write_parquet(
         fsio.join(out_dir, "norms")
     )
 
@@ -398,34 +434,6 @@ def build_index(
     for frag_batch in norms.to_batches(columns=["doc_len"]):
         total_len += int(pa.compute.sum(frag_batch["doc_len"]).as_py() or 0)
     avgdl = (total_len / n_docs) if n_docs else 0.0
-
-    # Postings (streaming + 2 shuffles).  The partial pass runs per BLOCK
-    # (batch_size=None): every batch re-emits one row per (term, salt) it
-    # touches, so doc-count batches multiply partial rows for common terms
-    # ~(docs-per-block / batch_size)-fold (profiled r3: 6.4M -> 3.4M rows on
-    # the 500k-page corpus).  Before the merge shuffle, coalesce to a
-    # data-sized block count — the sort's intermediate-object count is
-    # quadratic in blocks (geometry.shuffle_num_blocks; merge wall 9.6 s ->
-    # 3.1 s at 32 CPUs on the same corpus).
-    from ..geometry import shuffle_num_blocks
-
-    if tokenized is not None:
-        nb_shuffle = shuffle_num_blocks(tokenized.size_bytes())
-    else:
-        nb_shuffle = shuffle_num_blocks(None)  # one block per CPU
-    partials = _tokens_ds().map_batches(
-        make_spimi_partial(num_partitions, salt_range),
-        batch_format="pyarrow",
-        batch_size=None,
-    ).repartition(nb_shuffle)
-    merged = partials.groupby(["part", "salt"]).map_groups(
-        merge_bucket, batch_format="pandas"
-    )
-    manifest_rows = (
-        merged.groupby("part")
-        .map_groups(make_partition_writer(out_dir), batch_format="pandas")
-        .to_pandas()
-    )
 
     manifest = {
         "format_version": 1,

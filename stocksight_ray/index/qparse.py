@@ -233,7 +233,11 @@ def prefix_range(sorted_terms: List[str], prefix: str,
     import bisect
 
     lo = bisect.bisect_left(sorted_terms, prefix)
-    hi = bisect.bisect_left(sorted_terms, prefix + "￿")
+    # the matches are the run from lo while terms start with the prefix (no
+    # sentinel upper bound: prefix + "\uffff" sorts below supplementary-
+    # plane code points and would miss their terms)
+    hi = bisect.bisect_left(sorted_terms, True, lo=lo,
+                            key=lambda t: not t.startswith(prefix))
     out = sorted_terms[lo:hi]
     return out[:limit] if limit is not None else out
 

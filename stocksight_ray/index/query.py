@@ -78,14 +78,23 @@ class _TermPostings:
         return self._full
 
 
+def check_mode(mode: str) -> None:
+    """The boolean match modes: "or" and "and"; anything else raises."""
+    if mode not in ("or", "and"):
+        raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
+
+
 def _binary_views(arr: pa.Array):
     """Zero-copy per-row memoryview slices of an Arrow binary column — the
     blobs stay in the Arrow data buffer (kept alive by the views) instead of
     being copied out into one Python ``bytes`` per row via ``to_pylist``.
     ``np.frombuffer`` (codec.decode_meta / varbyte_decode) reads memoryviews
-    directly."""
+    directly.  Only ``pa.binary()`` (int32 offsets) is accepted; any other
+    type raises ``TypeError``."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
+    if arr.type != pa.binary():
+        raise TypeError(f"expected a binary column, got {arr.type}")
     bufs = arr.buffers()  # [validity, offsets(int32), data]
     offsets = np.frombuffer(bufs[1], dtype=np.int32)[
         arr.offset: arr.offset + len(arr) + 1
@@ -496,7 +505,9 @@ class QueryEngine:
         the index (OR or AND match); their sort keys are taken from the
         ``sort_col`` column the DocStore holds in memory for ``docs_path``
         (read once per path and column).  Returns [(doc_id, sort_value)] —
-        ties by doc_id asc."""
+        ties by doc_id asc.  ``mode`` is "or" or "and"; anything else raises
+        ``ValueError``."""
+        check_mode(mode)
         docs_path = docs_path or self.manifest.get("docs_path")
         if docs_path is None:
             raise ValueError("search_sorted needs docs_path (or manifest docs_path)")
@@ -536,7 +547,9 @@ class QueryEngine:
         vectorized comparison over the column the DocStore holds in memory
         for ``docs_path`` (read once per path and column, limited to the
         indexed ids); the value is cast to the column's type, and a value
-        that cannot be cast raises ``ValueError``."""
+        that cannot be cast raises ``ValueError``, and so does a ``mode``
+        other than "or"/"and"."""
+        check_mode(mode)
         docs_path = docs_path or self.manifest.get("docs_path")
         if docs_path is None:
             raise ValueError("search_filtered needs docs_path (or manifest docs_path)")

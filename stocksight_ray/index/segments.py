@@ -2,9 +2,9 @@
 checkpoints, lineage, throughput metrics; SURVEY.md §4 checkpoint/resume).
 
 The corpus is split into SHARDS of contiguous doc_id ranges (aligned to the
-salt range).  Each shard builds an independent SEGMENT — the same SPIMI
-pipeline as ``build.build_index`` restricted to its range — and commits
-atomically:
+salt range).  Each shard is an independent SEGMENT, built by the same SPIMI
+chain as ``build.build_index`` (``build.index_pass``; one pass builds up to
+``PASS_SHARDS`` = 16 shards), and commits atomically:
 
     out/segments/shard-{i:05d}/part-{p:05d}.parquet   postings runs
     out/segments/shard-{i:05d}/norms.parquet          (doc_id, doc_len)
@@ -13,10 +13,10 @@ atomically:
     out/segments/shard-{i:05d}/_SUCCESS               commit marker
 
 A re-run SKIPS every shard with a marker (resume = re-invoke; at most the
-one in-flight shard is rebuilt).  Because shard ranges are disjoint,
-increasing, and salt-aligned, final assembly concatenates each term's
-encoded block runs WITHOUT re-encoding (codec.concat_runs) — one cheap
-parallel pass per index partition, also atomic.  The final index layout and
+one in-flight pass of <= 16 shards is rebuilt).  Because shard ranges are
+disjoint, increasing, and salt-aligned, final assembly concatenates each
+term's encoded block runs WITHOUT re-encoding (codec.concat_runs) — one
+cheap parallel pass per index partition, also atomic.  The final index layout and
 query results are IDENTICAL to the single-pass builder's (tested).
 
 Incremental ingest (reference W1: the unbounded poll loop): new documents
@@ -38,9 +38,8 @@ from . import codec
 from .build import (
     DEFAULT_NUM_PARTITIONS,
     DEFAULT_SALT_RANGE,
-    TokenizeStage,
-    make_spimi_partial,
-    merge_bucket,
+    index_pass,
+    make_partition_writer,
 )
 
 FORMAT_VERSION = 1
@@ -119,89 +118,7 @@ def shard_stats(docs, id_col: str, text_col: str, shard_docs: int) -> dict:
     return {int(r["shard"]): {"cnt": int(r["cnt"]), "fp": int(r["fp"])} for r in rows}
 
 
-def build_segment(
-    docs,
-    out_dir: str,
-    shard: int,
-    lo: int,
-    hi: int,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    analyzer: str = "english",
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-    salt_range: int = DEFAULT_SALT_RANGE,
-    batch_size: int = 1024,
-    content_fp: Optional[int] = None,
-) -> dict:
-    """Build one shard segment over doc_ids in [lo, hi).  Atomic commit via
-    tmp-dir rename (local) or marker file (object stores); returns the
-    lineage record."""
-    from .. import fsio
-
-    t0 = time.time()
-    seg = _shard_dir(out_dir, shard)
-    tmp = _begin_segment(seg)
-
-    sub = docs.filter(expr=f"{id_col} >= {lo} and {id_col} < {hi}")
-    tokenize_kwargs = dict(
-        fn_constructor_kwargs={"analyzer": analyzer, "text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, 8),
-    )
-    tokenized = sub.map_batches(TokenizeStage, **tokenize_kwargs).materialize()
-
-    # norms + stats
-    norms = tokenized.select_columns(["doc_id", "doc_len"]).to_pandas()
-    norms = norms.sort_values("doc_id", kind="stable")
-    fsio.write_table_atomic(pa.Table.from_pandas(norms, preserve_index=False),
-                            fsio.join(tmp, "norms.parquet"))
-    n_docs = len(norms)
-    total_len = int(norms["doc_len"].sum())
-
-    partials = tokenized.map_batches(
-        make_spimi_partial(num_partitions, salt_range),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    merged = partials.groupby(["part", "salt"]).map_groups(
-        merge_bucket, batch_format="pandas"
-    )
-
-    def write_part(group: pd.DataFrame) -> pd.DataFrame:
-        from .. import fsio as _fsio
-        from .build import assemble_partition_table
-
-        part = int(group["part"].iloc[0])
-        tbl = assemble_partition_table(group)
-        _fsio.write_table_atomic(tbl, _fsio.join(tmp, f"part-{part:05d}.parquet"))
-        return pd.DataFrame({"part": [part], "n_terms": [tbl.num_rows]})
-
-    part_rows = (
-        merged.groupby("part").map_groups(write_part, batch_format="pandas").to_pandas()
-    )
-
-    wall = time.time() - t0
-    lineage = {
-        "shard": shard,
-        "doc_id_lo": lo,
-        "doc_id_hi": hi,
-        "n_docs": n_docs,
-        "total_terms": total_len,
-        "n_parts_written": int(len(part_rows)),
-        "analyzer": analyzer,
-        "num_partitions": num_partitions,
-        "salt_range": salt_range,
-        "format_version": FORMAT_VERSION,
-        "content_fp": content_fp,
-        "wall_sec": round(wall, 3),
-        "docs_per_sec": round(n_docs / max(wall, 1e-9), 1),
-    }
-    fsio.write_json_atomic(lineage, fsio.join(tmp, "lineage.json"), indent=1)
-    fsio.write_text(fsio.join(tmp, "_SUCCESS"), "ok")  # marker LAST
-    _commit_segment(tmp, seg)
-    return lineage
+PASS_SHARDS = 16  # shards per build pass: bounds what a mid-pass crash rebuilds
 
 
 def build_segment_group(
@@ -218,111 +135,47 @@ def build_segment_group(
     batch_size: int = 1024,
     content_fps: Optional[dict] = None,
 ) -> List[dict]:
-    """Build ``len(shards)`` shard segments in ONE Ray pass (VERDICT r2
-    'Next round' #6: the per-shard driver loop pays ~3 barriers of fixed
-    overhead per shard; at 100 TB with 256k-doc shards that is millions of
-    sequential barriers).  Grouping k shards amortizes the tokenize
-    materialize + merge shuffle + write shuffle over k shards, while
-    per-shard atomicity is preserved: every shard still gets its own tmp
-    dir, lineage and _SUCCESS marker, committed only after the pass — a
-    mid-pass crash rebuilds at most the group (bounded by
-    ``geometry.auto_shard_group``'s cap).
+    """Build ``len(shards)`` shard segments in ONE pass of
+    ``build.index_pass`` (VERDICT r2 'Next round' #6: a loop of one pass
+    per shard pays ~3 barriers of fixed overhead per shard; at 100 TB with
+    256k-doc shards that is millions of sequential barriers).  Per-shard
+    atomicity is preserved: every shard gets its own tmp dir, lineage and
+    _SUCCESS marker, committed only after the pass — a mid-pass crash
+    rebuilds at most the pass (``PASS_SHARDS``).
 
-    Requires ``shard_docs % salt_range == 0`` so every (part, salt) merge
-    group lands in exactly one shard (shard = salt * salt_range //
-    shard_docs) — the caller falls back to per-shard builds otherwise.
+    The partials use salt range ``min(salt_range, shard_docs)``, so every
+    (part, salt) merge group lies in one shard (shard = salt //
+    salts_per_shard) and the writer routes its runs to that shard's dir.
 
     ``shard_ds`` holds the (id, text) rows of all ``shards`` (shard
     membership is derived from ``id_col // shard_docs``, so no tag column
     is needed).  Returns lineage records in ``shards`` order."""
     from .. import fsio
 
-    assert shard_docs % salt_range == 0
     t0 = time.time()
     content_fps = content_fps or {}
     tmp_dirs = {}
     for shard in shards:
         tmp_dirs[shard] = _begin_segment(_shard_dir(out_dir, shard))
 
-    tokenized = shard_ds.map_batches(
-        TokenizeStage,
-        fn_constructor_kwargs={
-            "analyzer": analyzer, "text_col": text_col, "id_col": id_col,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, 8),
-    ).materialize()
-
-    # norms: one grouped pass writes each shard's sorted norms file into its
-    # tmp dir (tasks share the filesystem, as build_segment's writers already
-    # assume) and returns the per-shard doc/term counts for lineage.
-    def write_norms(group: pd.DataFrame) -> pd.DataFrame:
-        from .. import fsio as _fsio
-
-        shard = int(group["_shard"].iloc[0])
-        g = group.sort_values("doc_id", kind="stable").drop(columns=["_shard"])
-        _fsio.write_table_atomic(
-            pa.Table.from_pandas(g, preserve_index=False),
-            _fsio.join(tmp_dirs[shard], "norms.parquet"),
-        )
-        return pd.DataFrame({
-            "shard": [shard],
-            "n_docs": [len(g)],
-            "total_terms": [int(g["doc_len"].sum())],
-        })
-
-    def tag_shard(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column(
-            "_shard", pa.array(ids // shard_docs, pa.int64())
-        )
-
-    stats_rows = (
-        tokenized.select_columns(["doc_id", "doc_len"])
-        .map_batches(tag_shard, batch_format="pyarrow")
-        .groupby("_shard")
-        .map_groups(write_norms, batch_format="pandas")
-        .to_pandas()
-    )
-    counts = {
-        int(r["shard"]): (int(r["n_docs"]), int(r["total_terms"]))
-        for _, r in stats_rows.iterrows()
-    }
-
-    partials = tokenized.map_batches(
-        make_spimi_partial(num_partitions, salt_range),
-        batch_format="pyarrow",
+    seg_salt = min(salt_range, shard_docs)
+    tokenized, part_rows = index_pass(
+        shard_ds,
+        make_partition_writer(out_dir, tmp_dirs, shard_docs // seg_salt),
+        text_col=text_col, id_col=id_col, analyzer=analyzer,
+        num_partitions=num_partitions, salt_range=seg_salt,
         batch_size=batch_size,
     )
-    merged = partials.groupby(["part", "salt"]).map_groups(
-        merge_bucket, batch_format="pandas"
-    )
 
-    def tag_merged(b: pd.DataFrame) -> pd.DataFrame:
-        b["_shard"] = b["salt"].to_numpy(np.int64) * salt_range // shard_docs
-        return b
-
-    def write_part(group: pd.DataFrame) -> pd.DataFrame:
-        from .. import fsio as _fsio
-        from .build import assemble_partition_table
-
-        shard = int(group["_shard"].iloc[0])
-        part = int(group["part"].iloc[0])
-        tbl = assemble_partition_table(group.drop(columns=["_shard"]))
-        _fsio.write_table_atomic(
-            tbl, _fsio.join(tmp_dirs[shard], f"part-{part:05d}.parquet")
-        )
-        return pd.DataFrame({
-            "shard": [shard], "part": [part], "n_terms": [tbl.num_rows],
-        })
-
-    part_rows = (
-        merged.map_batches(tag_merged, batch_format="pandas")
-        .groupby(["_shard", "part"])
-        .map_groups(write_part, batch_format="pandas")
-        .to_pandas()
-    )
+    # norms: the pass's (doc_id, doc_len) rows, collected in this process —
+    # 12 B/doc for at most PASS_SHARDS shards — split into each shard's
+    # sorted file
+    norms = tokenized.select_columns(["doc_id", "doc_len"]).to_pandas()
+    if not len(norms):  # the pass holds no rows: typed, empty columns
+        norms = pd.DataFrame({"doc_id": np.zeros(0, np.int64),
+                              "doc_len": np.zeros(0, np.int32)})
+    norms = norms.sort_values("doc_id", kind="stable")
+    norm_shard = norms["doc_id"].to_numpy(np.int64) // shard_docs
     parts_per_shard = (
         part_rows.groupby("shard")["part"].count().to_dict() if len(part_rows)
         else {}
@@ -332,15 +185,10 @@ def build_segment_group(
     wall = time.time() - t0
     lineages = []
     for shard in shards:
-        n_docs, total_terms = counts.get(shard, (0, 0))
-        if n_docs == 0:  # empty shard range: write an empty norms file
-            fsio.write_table_atomic(
-                pa.table({
-                    "doc_id": pa.nulls(0, pa.int64()),
-                    "doc_len": pa.nulls(0, pa.int32()),
-                }),
-                fsio.join(tmp_dirs[shard], "norms.parquet"),
-            )
+        g = norms[norm_shard == shard]
+        n_docs, total_terms = len(g), int(g["doc_len"].sum())
+        fsio.write_table_atomic(pa.Table.from_pandas(g, preserve_index=False),
+                                fsio.join(tmp_dirs[shard], "norms.parquet"))
         lineage = {
             "shard": shard,
             "doc_id_lo": shard * shard_docs,
@@ -378,19 +226,21 @@ def build_resumable(
     shard_docs: int = DEFAULT_SALT_RANGE,
     batch_size: int = 1024,
     max_shards: Optional[int] = None,
-    shard_group: Optional[int] = None,
+    extra_manifest: Optional[dict] = None,
 ) -> dict:
-    """Sharded resumable build.  ``shard_docs`` must be a multiple of
-    ``salt_range`` (keeps shard runs salt-aligned so assembly is pure
-    concatenation).  ``max_shards`` stops early (used by the kill/resume
-    test to simulate a crash).  ``shard_group`` = shards built per Ray pass
-    (default: ``geometry.auto_shard_group`` — scales with cluster CPUs);
-    grouping amortizes per-pass barriers without changing per-shard commit
-    atomicity.  Returns the manifest from ``assemble`` (or a
+    """Sharded resumable build.  One of ``shard_docs`` and ``salt_range``
+    must divide the other (keeps shard runs salt-aligned so assembly is
+    pure concatenation).  The shards to (re)build go through
+    ``build_segment_group`` in passes of at most ``PASS_SHARDS``.
+    ``max_shards`` stops early (used by the kill/resume test to simulate a
+    crash).  ``extra_manifest`` keys (e.g. serving config such as
+    ``docs_path``/``docs_text_col``) are written into the manifest, as in
+    ``build_index``.  Returns the manifest from ``assemble`` (or a
     partial-progress dict when stopped early)."""
-    assert shard_docs % salt_range == 0 or shard_docs == salt_range or salt_range % shard_docs == 0, (
-        "shard_docs must align with salt_range"
-    )
+    if shard_docs % salt_range and salt_range % shard_docs:
+        raise ValueError(
+            f"shard_docs ({shard_docs}) must align with salt_range ({salt_range})"
+        )
     from .. import fsio
 
     fsio.makedirs(out_dir)
@@ -422,8 +272,8 @@ def build_resumable(
         need.append(shard)
 
     # ONE projected pass over the corpus partitions the to-build shards into
-    # a hive-layout staging dir, so each build_segment reads ONLY its range —
-    # total read volume is O(corpus + rebuilt shards), not O(corpus x shards)
+    # a hive-layout staging dir, so each pass reads ONLY its shards' rows —
+    # total read volume is O(corpus + rebuilt shards), not O(corpus x passes)
     import ray.data as rd
 
     staging = fsio.join(out_dir, "_staging")
@@ -442,69 +292,44 @@ def build_resumable(
             tag_and_filter, batch_format="pyarrow"
         ).write_parquet(staging, partition_cols=["_shard"])
 
-    from ..geometry import auto_shard_group
-
-    grp_size = shard_group or auto_shard_group()
-    if shard_docs % salt_range != 0:
-        grp_size = 1  # salt spans shards — (part, salt) groups not shard-local
-
     built: List[dict] = [reuse[s] for s in todo if s in reuse]
-    if grp_size > 1:
-        for i in range(0, len(need), grp_size):
-            grp = need[i : i + grp_size]
-            # list the parquet files explicitly: a LIST of _-prefixed dirs is
-            # not expanded by read_parquet (underscore paths are "hidden" to
-            # Arrow dataset discovery; single-dir reads work, lists don't)
-            paths = [
-                fsio.join(p, f)
-                for s in grp
-                if fsio.isdir(p := fsio.join(staging, f"_shard={s}"))
-                for f in fsio.listdir(p)
-                if f.endswith(".parquet")
-            ]
-            if paths:
-                grp_ds = rd.read_parquet(paths, columns=[id_col, text_col])
-            else:
-                grp_ds = rd.from_arrow(pa.table({
-                    id_col: pa.nulls(0, pa.int64()),
-                    text_col: pa.nulls(0, pa.string()),
-                }))
-            built.extend(
-                build_segment_group(
-                    grp_ds, out_dir, grp, shard_docs,
-                    text_col=text_col, id_col=id_col, analyzer=analyzer,
-                    num_partitions=num_partitions, salt_range=salt_range,
-                    batch_size=batch_size,
-                    content_fps={
-                        s: stats.get(s, {"cnt": 0, "fp": 0})["fp"] for s in grp
-                    },
-                )
+    for i in range(0, len(need), PASS_SHARDS):
+        grp = need[i : i + PASS_SHARDS]
+        # list the parquet files explicitly: a LIST of _-prefixed dirs is
+        # not expanded by read_parquet (underscore paths are "hidden" to
+        # Arrow dataset discovery; single-dir reads work, lists don't).  A
+        # list of URIs is read through the staging dir's filesystem.
+        paths = [
+            fsio.resolve(fsio.join(p, f))[1]
+            for s in grp
+            if fsio.isdir(p := fsio.join(staging, f"_shard={s}"))
+            for f in fsio.listdir(p)
+            if f.endswith(".parquet")
+        ]
+        if paths:
+            grp_ds = rd.read_parquet(paths, columns=[id_col, text_col],
+                                     filesystem=fsio.resolve(staging)[0])
+        else:  # the pass's shard ranges hold no rows
+            grp_ds = rd.from_arrow(pa.table({
+                id_col: pa.nulls(0, pa.int64()),
+                text_col: pa.nulls(0, pa.string()),
+            }))
+        built.extend(
+            build_segment_group(
+                grp_ds, out_dir, grp, shard_docs,
+                text_col=text_col, id_col=id_col, analyzer=analyzer,
+                num_partitions=num_partitions, salt_range=salt_range,
+                batch_size=batch_size,
+                content_fps={
+                    s: stats.get(s, {"cnt": 0, "fp": 0})["fp"] for s in grp
+                },
             )
-    else:
-        for shard in need:
-            shard_path = fsio.join(staging, f"_shard={shard}")
-            if fsio.isdir(shard_path):
-                shard_ds = rd.read_parquet(shard_path, columns=[id_col, text_col])
-            else:  # shard range holds no rows
-                shard_ds = rd.from_arrow(pa.table({
-                    id_col: pa.nulls(0, pa.int64()),
-                    text_col: pa.nulls(0, pa.string()),
-                }))
-            built.append(
-                build_segment(
-                    shard_ds, out_dir, shard,
-                    shard * shard_docs, (shard + 1) * shard_docs,
-                    text_col=text_col, id_col=id_col, analyzer=analyzer,
-                    num_partitions=num_partitions, salt_range=salt_range,
-                    batch_size=batch_size,
-                    content_fp=stats.get(shard, {"cnt": 0, "fp": 0})["fp"],
-                )
-            )
+        )
     if max_shards is not None and max_shards < n_shards:
         return {"partial": True, "shards_built": len(built), "n_shards": n_shards}
     fsio.remove_dir(staging)
     return assemble(out_dir, analyzer=analyzer, num_partitions=num_partitions,
-                    salt_range=salt_range)
+                    salt_range=salt_range, extra_manifest=extra_manifest)
 
 
 def assemble(
@@ -513,11 +338,13 @@ def assemble(
     analyzer: str = "english",
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     salt_range: int = DEFAULT_SALT_RANGE,
+    extra_manifest: Optional[dict] = None,
 ) -> dict:
     """Final assembly: per index partition, concatenate every committed
-    shard's encoded runs per term (shard order = docid order → valid
-    concat_runs input).  One parallel Ray-Data pass over partition ids;
-    atomic per-partition writes; manifest written last."""
+    shard's encoded runs per term with ``build.assemble_partition_table``
+    (runs ordered by shard = docid order → valid concat_runs input).  One
+    parallel Ray-Data pass over partition ids; atomic per-partition writes;
+    manifest written last, with ``extra_manifest`` keys added."""
     import ray.data as rd
 
     from .. import fsio
@@ -540,10 +367,12 @@ def assemble(
     fsio.makedirs(fsio.join(out_dir, "index"))
     fsio.makedirs(fsio.join(out_dir, "norms"))
 
+    write_partition = make_partition_writer(out_dir)
+
     def assemble_part(batch: pa.Table) -> pa.Table:
         from .. import fsio as _fsio
 
-        out_rows = {"part": [], "n_terms": [], "n_postings": [], "bytes": []}
+        out_rows = []
         for part in batch["part"].to_pylist():
             frames = []
             for s in shards:
@@ -551,35 +380,14 @@ def assemble(
                 if _fsio.exists(p):
                     t = _fsio.read_table(p)
                     if t.num_rows:
-                        frames.append(t.to_pandas().assign(_shard=s))
-            if not frames:
-                continue
-            allp = pd.concat(frames, ignore_index=True)
-            terms, dfs, cfs, metas, payloads = [], [], [], [], []
-            for term, g in allp.groupby("term", sort=True):
-                g = g.sort_values("_shard", kind="stable")  # docid order
-                meta_b, payload = codec.concat_runs(list(zip(g["meta"], g["payload"])))
-                terms.append(term)
-                dfs.append(int(g["df"].sum()))
-                cfs.append(int(g["cf"].sum()))
-                metas.append(meta_b)
-                payloads.append(payload)
-            tbl = pa.table(
-                {
-                    "term": pa.array(terms, pa.string()),
-                    "df": pa.array(dfs, pa.int64()),
-                    "cf": pa.array(cfs, pa.int64()),
-                    "meta": pa.array(metas, pa.binary()),
-                    "payload": pa.array(payloads, pa.binary()),
-                }
-            )
-            final = _fsio.join(out_dir, "index", f"part-{part:05d}.parquet")
-            _fsio.write_table_atomic(tbl, final)
-            out_rows["part"].append(part)
-            out_rows["n_terms"].append(len(terms))
-            out_rows["n_postings"].append(int(sum(dfs)))
-            out_rows["bytes"].append(_fsio.getsize(final))
-        return pa.table({k: pa.array(v) for k, v in out_rows.items()})
+                        # the shard orders the runs, as the salt does in a build
+                        frames.append(t.to_pandas().assign(part=part, salt=s))
+            if frames:
+                out_rows.append(write_partition(pd.concat(frames, ignore_index=True)))
+        if not out_rows:
+            return pa.table({k: pa.array([], pa.int64())
+                             for k in ("part", "n_terms", "n_postings", "bytes")})
+        return pa.Table.from_pandas(pd.concat(out_rows), preserve_index=False)
 
     stats = (
         rd.from_items([{"part": p} for p in range(num_partitions)])
@@ -613,6 +421,8 @@ def assemble(
             sum(l["docs_per_sec"] for l in lineages), 1
         ),
     }
+    if extra_manifest:
+        manifest.update(extra_manifest)
     fsio.write_json_atomic(
         manifest, fsio.join(out_dir, "manifest.json"), indent=1, default=int
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from .query import QueryEngine
+from .query import QueryEngine, check_mode
 
 
 class SearchStage:
@@ -80,12 +80,17 @@ def search_dataset(
     k: int = 10,
     method: str = "wand",
     mode: str = "match",
-    concurrency=(1, 8),
+    concurrency=None,
     batch_size: int = 64,
 ):
     """Bulk top-k over a Dataset of (query_id:int64, query:string[, k]).
     ``mode="query_string"`` evaluates each row with the Lucene-mini
-    grammar instead of a plain match."""
+    grammar instead of a plain match.  ``concurrency`` defaults to an actor
+    pool of 1 to min(8, cluster CPUs) engines."""
+    from ..geometry import cluster_cpus
+
+    if concurrency is None:
+        concurrency = (1, min(8, cluster_cpus()))
     return queries.map_batches(
         SearchStage,
         fn_constructor_kwargs={
@@ -108,6 +113,7 @@ class SegmentEngine(QueryEngine):
 
     def search(self, query: str, k: int = 10, method: str = "exhaustive",
                mode: str = "or"):
+        check_mode(mode)
         if mode == "and":
             return self.search_and(query, k)
         return super().search(query, k, method)
@@ -153,8 +159,7 @@ class ShardedQueryService:
         shards; any other mode raises ``ValueError``."""
         import ray
 
-        if mode not in ("or", "and"):
-            raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
+        check_mode(mode)
         if k <= 0:
             return []
         parts = ray.get([a.search.remote(query, k, mode) for a in self._actors])

@@ -15,8 +15,10 @@ module is the Ray-native analogue over the range-sharded segment layout
 2. **incremental rebuild** — ``build_resumable`` over the merged corpus:
    each committed shard carries a content fingerprint of its (id → text)
    range, so ONLY shards whose range holds an updated/new id rebuild;
-   every untouched shard is reused as-is.  Cost: one projected
-   (id, text) corpus scan + O(touched shards) rebuild — not a full build.
+   every untouched shard is reused as-is.  The touched shards are rebuilt
+   together, in passes of up to 16 shards of ``build.index_pass`` (the
+   same SPIMI chain as ``build_index``).  Cost: one projected (id, text)
+   corpus scan + O(touched shards) rebuild — not a full build.
 3. **revive** — pending tombstones on the upserted ids are removed
    (``deletes.undelete_docs``): a re-indexed doc is live again, exactly
    ES.  Other tombstones keep filtering; a rebuilt shard may physically
@@ -32,10 +34,9 @@ upserts are part of the workload)."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pyarrow as pa
+
 
 def upsert_docs(
     out_dir: str,
@@ -45,7 +46,6 @@ def upsert_docs(
     id_col: str = "doc_id",
     text_col: str = "text",
     batch_size: int = 1024,
-    shard_group: Optional[int] = None,
 ) -> dict:
     """Replace-or-add documents by id (see module docstring).
 
@@ -107,7 +107,6 @@ def upsert_docs(
             salt_range=int(manifest.get("salt_range", shard_docs)),
             shard_docs=shard_docs,
             batch_size=batch_size,
-            shard_group=shard_group,
         )
     else:
         new_manifest = build_index(

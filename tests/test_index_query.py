@@ -40,7 +40,6 @@ def built(ray_session, webtext_table, tmp_path_factory):
         text_col="text_clean",
         analyzer="english",
         num_partitions=8,
-        tokenize_concurrency=2,
         batch_size=128,
     )
     # oracle corpus: same docs, same analyzer
@@ -94,7 +93,6 @@ def test_partition_count_invariance(ray_session, webtext_table, tmp_path):
         out2,
         text_col="text_clean",
         num_partitions=3,
-        tokenize_concurrency=2,
         batch_size=97,
         salt_range=64,  # force many salt buckets → exercises run concat
     )
@@ -159,8 +157,12 @@ def test_extreme_head_term_skew(ray_session, tmp_path):
 
 @pytest.fixture(scope="module")
 def sharded(ray_session, tmp_path_factory):
-    """A 3-shard segmented index and its ShardedQueryService."""
+    """A 3-shard segmented index (serving its docs table) and its
+    ShardedQueryService."""
+    import os
+
     import pyarrow as pa
+    import pyarrow.parquet as pq
 
     from stocksight_ray.index.segments import build_resumable
     from stocksight_ray.index.serve import ShardedQueryService
@@ -169,11 +171,14 @@ def sharded(ray_session, tmp_path_factory):
     texts = [f"stock market report {'strong' if i % 3 else 'weak'} {i}"
              for i in range(n)]
     docs = pa.table({"doc_id": pa.array(range(n), pa.int64()),
-                     "text": pa.array(texts, pa.string())})
+                     "text": pa.array(texts, pa.string()),
+                     "n": pa.array(range(n), pa.int64())})
     out = str(tmp_path_factory.mktemp("sharded_modes"))
+    docs_path = os.path.join(out, "docs.parquet")
+    pq.write_table(docs, docs_path)
     build_resumable(rd.from_arrow(docs), out, text_col="text",
                     num_partitions=2, salt_range=16, shard_docs=16,
-                    batch_size=16)
+                    batch_size=16, extra_manifest={"docs_path": docs_path})
     svc = ShardedQueryService(out)
     yield out, svc
     svc.shutdown()
@@ -183,12 +188,29 @@ def sharded(ray_session, tmp_path_factory):
     ("engine", "wand_doc"), ("engine", "auto"), ("engine", "Exhaustive"),
     ("shard", "wand_doc"), ("shard", "auto"),
     ("service", "AND"), ("service", "phrase"), ("service", ""),
+    ("sorted", "AND"), ("sorted", "xor"),
+    ("filtered", "AND"), ("filtered", "xor"),
 ])
 def test_bad_method_or_mode_raises(sharded, target, bad):
-    """An unknown scorer or service mode fails loudly instead of silently
-    running some other scorer; the valid values still answer."""
+    """An unknown scorer or match mode fails loudly instead of silently
+    running some other scorer or an OR; the valid values still answer."""
     out, svc = sharded
     eng = QueryEngine(out)
+    if target in ("sorted", "filtered"):
+        q = "strong market"
+        if target == "sorted":
+            run = lambda mode: [d for d, _ in eng.search_sorted(
+                q, k=100, sort_col="n", mode=mode)]
+        else:
+            run = lambda mode: [d for d, _ in eng.search_filtered(
+                q, k=100, filters=[("n", ">=", 0)], mode=mode)]
+        with pytest.raises(ValueError, match="mode"):
+            run(bad)
+        and_ids = {d for d, _ in eng.search_and(q, k=100)}
+        or_ids = {d for d, _ in eng.search(q, k=100)}
+        assert and_ids < or_ids
+        assert set(run("and")) == and_ids and set(run("or")) == or_ids
+        return
     if target == "service":
         with pytest.raises(ValueError, match="mode"):
             svc.search("strong market", k=10, mode=bad)
@@ -204,3 +226,18 @@ def test_bad_method_or_mode_raises(sharded, target, bad):
             eng.search("strong market", k=k, method=bad)
     assert eng.search("strong market", k=10, method="wand") == \
         eng.search("strong market", k=10, method="exhaustive")
+
+
+def test_binary_views_rejects_other_offset_types():
+    """Postings blobs are read as int32-offset binary; a large_binary (or
+    any other) column raises instead of decoding garbage offsets."""
+    import pyarrow as pa
+
+    from stocksight_ray.index.query import _binary_views
+
+    blobs = [b"ab", b"", b"cde"]
+    arr = pa.array(blobs, pa.binary())
+    assert [bytes(v) for v in _binary_views(arr.slice(1))] == blobs[1:]
+    for bad in (pa.array(blobs, pa.large_binary()), pa.array(["ab"])):
+        with pytest.raises(TypeError, match="binary"):
+            _binary_views(bad)

@@ -232,6 +232,21 @@ def test_parse_prefix():
             parse(bad)
 
 
+def test_prefix_range_supplementary_plane():
+    """Terms whose next code point after the prefix lies above U+FFFF are
+    expanded too (a ``prefix + "\uffff"`` upper bound sorts below them)."""
+    from stocksight_ray.index.qparse import prefix_range
+
+    terms = sorted(["a", "ab", "a\uffff", "a\U0001F600", "a\U0001F600x",
+                    "a\U0010FFFF", "b", "\U0001F600"])
+    exp = [t for t in terms if t.startswith("a")]
+    assert prefix_range(terms, "a") == exp
+    assert prefix_range(terms, "a", limit=2) == exp[:2]
+    assert prefix_range(terms, "a\U0001F600") == ["a\U0001F600", "a\U0001F600x"]
+    assert prefix_range(terms, "\U0001F600") == ["\U0001F600"]
+    assert prefix_range(terms, "c") == []
+
+
 def test_qs_prefix_equals_manual_expansion(ray_session, qs_index):
     out, _ = qs_index
     eng = _engine(out)
@@ -293,8 +308,6 @@ def test_qs_sharded_equals_global(ray_session, tmp_path):
     """ShardedQueryService.search_query must equal QueryEngine.search_query
     exactly — per-shard evaluation with global stats restricted to disjoint
     id ranges, merged."""
-    import json
-
     import numpy as np
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -322,14 +335,8 @@ def test_qs_sharded_equals_global(ray_session, tmp_path):
     build_resumable(
         rd.from_arrow(docs), out, text_col="text",
         num_partitions=4, salt_range=128, shard_docs=128, batch_size=64,
+        extra_manifest={"docs_path": docs_path, "docs_text_col": "text"},
     )
-    # docs_path is serving config the assembly step doesn't know about
-    mpath = f"{out}/manifest.json"
-    with open(mpath) as f:
-        m = json.load(f)
-    m.update({"docs_path": docs_path, "docs_text_col": "text"})
-    with open(mpath, "w") as f:
-        json.dump(m, f)
 
     eng = QueryEngine(out)
     svc = ShardedQueryService(out)
@@ -558,8 +565,9 @@ def test_docstore_sharded_equals_scan_through_compact(
     out = str(tmp_path / "seg")
     build_resumable(rd.from_arrow(docs.select(["doc_id", "text"])), out,
                     text_col="text", num_partitions=4, salt_range=4,
-                    shard_docs=4, batch_size=4)
-    _set_docs(out, docs_path)
+                    shard_docs=4, batch_size=4,
+                    extra_manifest={"docs_path": docs_path,
+                                    "docs_text_col": "text"})
 
     live = set(range(len(rows)))
     for stage in ("built", "compacted"):

@@ -67,7 +67,6 @@ SEG_DELETES = [0, 5, 17, 18, 33, 59]  # spread over every shard
 def prop_seg_index(ray_session, tmp_path_factory):
     """The prop_index corpus as a segmented index of 4 shards, fresh and
     after ``delete_docs``: [(global engine, shard engines)] per state."""
-    import json
     import os
     import shutil
 
@@ -83,15 +82,11 @@ def prop_seg_index(ray_session, tmp_path_factory):
     docs_path = os.path.join(root, "docs.parquet")
     pq.write_table(docs, docs_path)
     out = os.path.join(root, "built")
-    build_resumable(rd.from_arrow(docs.select(["doc_id", "text"])), out,
-                    text_col="text", num_partitions=4, salt_range=16,
-                    shard_docs=16, batch_size=16)
-    mpath = os.path.join(out, "manifest.json")
-    with open(mpath) as f:
-        m = json.load(f)
-    m.update({"docs_path": docs_path, "docs_text_col": "text"})
-    with open(mpath, "w") as f:
-        json.dump(m, f)
+    m = build_resumable(rd.from_arrow(docs.select(["doc_id", "text"])), out,
+                        text_col="text", num_partitions=4, salt_range=16,
+                        shard_docs=16, batch_size=16,
+                        extra_manifest={"docs_path": docs_path,
+                                        "docs_text_col": "text"})
     deleted = shutil.copytree(out, os.path.join(root, "deleted"))
     delete_docs(deleted, SEG_DELETES)
 

@@ -199,3 +199,126 @@ def test_sub_salt_sharding(ray_session, docs_ds, tmp_path):
     build_resumable(docs_ds, sharded, text_col="text_clean",
                     num_partitions=4, salt_range=512, shard_docs=128, batch_size=128)
     assert _results(single) == _results(sharded)
+
+
+
+def test_empty_shard_ranges(ray_session, tmp_path):
+    """Doc ids with a gap wider than a shard: the shard ranges holding no
+    docs commit empty segments, and the index equals the single-pass
+    build."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from stocksight_ray.index.build import build_index
+    from stocksight_ray.index.segments import build_resumable
+
+    ids = list(range(100)) + list(range(300, 400))
+    docs = rd.from_arrow(pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "text": pa.array([f"stock doc{i} market m{i % 7}" for i in ids]),
+    }))
+    single, sharded = str(tmp_path / "single"), str(tmp_path / "sharded")
+    build_index(docs, single, text_col="text", num_partitions=4,
+                salt_range=64, batch_size=32)
+    m = build_resumable(docs, sharded, text_col="text", num_partitions=4,
+                        salt_range=64, shard_docs=64, batch_size=32)
+    assert [s["n_docs"] for s in m["segments"]] == [64, 36, 0, 0, 20, 64, 16]
+    empty = pq.read_table(
+        os.path.join(sharded, "segments", "shard-00002", "norms.parquet"))
+    assert empty.num_rows == 0 and empty.column_names == ["doc_id", "doc_len"]
+    from stocksight_ray.index.query import QueryEngine
+
+    e1, e2 = QueryEngine(single), QueryEngine(sharded)
+    for q in ("stock", "doc7 doc350", "market m3"):
+        assert e1.search(q, k=50) == e2.search(q, k=50)
+
+
+_ONE_CPU_CHILD = r"""
+import json, sys
+import pyarrow as pa
+import ray, ray.data as rd
+from stocksight_ray.index.build import build_index
+from stocksight_ray.index.query import QueryEngine
+from stocksight_ray.index.segments import build_resumable
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+words = ["stock", "market", "earnings", "strong", "weak", "investor",
+         "report", "record", "falls", "rises", "quarterly", "fears"]
+texts = [" ".join(words[(i * 7 + j * 5) % len(words)] for j in range(3 + i % 9))
+         + f" doc{i}" for i in range(300)]
+docs = pa.table({"doc_id": pa.array(range(300), pa.int64()),
+                 "text": pa.array(texts)})
+out, single = sys.argv[1], sys.argv[2]
+m = build_resumable(rd.from_arrow(docs), out, text_col="text",
+                    num_partitions=4, salt_range=128, shard_docs=128,
+                    batch_size=64)
+build_index(rd.from_arrow(docs), single, text_col="text", num_partitions=4,
+            salt_range=128, batch_size=64)
+queries = ["stock market", "strong earnings report", "fears", "doc7 record"]
+print(json.dumps({
+    "shards": len(m["segments"]),
+    "sharded": [QueryEngine(out).search(q, k=20) for q in queries],
+    "single": [QueryEngine(single).search(q, k=20) for q in queries],
+}))
+ray.shutdown()
+"""
+
+
+def test_build_resumable_on_one_cpu(tmp_path):
+    """A segmented build finishes on a Ray session with ONE CPU (no stage
+    may wait on an actor pool that holds the only CPU) and equals the
+    single-pass build.  Runs in its own process and Ray session, killed
+    with everything it started if it does not finish in 120 s."""
+    import signal
+    import subprocess
+    import sys
+    import time
+    import uuid
+
+    marker = f"ONE_CPU_TEST={uuid.uuid4().hex}"
+    env = dict(os.environ, ONE_CPU_TEST=marker.split("=", 1)[1],
+               RAY_USAGE_STATS_ENABLED="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_CHILD, str(tmp_path / "seg"),
+         str(tmp_path / "single")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        stdout, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        stdout = None
+    finally:
+        # the child's Ray processes carry its environment marker
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        deadline = time.time() + 20
+        while time.time() < deadline:
+            left = []
+            for d in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{d}/environ", "rb") as f:
+                        if marker.encode() in f.read().split(b"\0"):
+                            left.append(int(d))
+                except OSError:
+                    continue
+            if not left:
+                break
+            for pid in left:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            time.sleep(0.2)
+    assert stdout is not None, "build_resumable did not finish in 120 s on 1 CPU"
+    assert proc.returncode == 0
+    got = json.loads(stdout.decode().strip().splitlines()[-1])
+    assert got["shards"] == 3
+    assert got["sharded"] == got["single"]
+    assert any(got["single"])
