@@ -164,7 +164,7 @@ def q10_event_type_topk(sf_dir: str):
 def q11_last_value_per_user(sf_dir: str):
     """K2 latest-value pick — bucketed: one vectorized pandas groupby per
     key-hash bucket (no per-user task)."""
-    from stocksight_ray.pipelines.joins import _key_bucketizer
+    from stocksight_ray.geometry import bucket_groups
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -178,19 +178,16 @@ def q11_last_value_per_user(sf_dir: str):
             "last_value": out.to_numpy(),
         })
 
-    return (
-        _events(sf_dir)
-        .select_columns(["user_id", "ts", "event_id", "value"])
-        .map_batches(_key_bucketizer("user_id", 256), batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(pick, batch_format="pandas")
+    return bucket_groups(
+        "user_id", pick,
+        _events(sf_dir).select_columns(["user_id", "ts", "event_id", "value"]),
     )
 
 
 def q12_pct_change_per_user(sf_dir: str):
     """P8 pct-change of the last two values per user — bucketed and
     vectorized via groupby.tail(2)."""
-    from stocksight_ray.pipelines.joins import _key_bucketizer
+    from stocksight_ray.geometry import bucket_groups
 
     def chg(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -208,12 +205,9 @@ def q12_pct_change_per_user(sf_dir: str):
             "user_id": t2.index.to_numpy(), "change": change,
         })
 
-    return (
-        _events(sf_dir)
-        .select_columns(["user_id", "ts", "event_id", "value"])
-        .map_batches(_key_bucketizer("user_id", 256), batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(chg, batch_format="pandas")
+    return bucket_groups(
+        "user_id", chg,
+        _events(sf_dir).select_columns(["user_id", "ts", "event_id", "value"]),
     )
 
 
@@ -556,7 +550,7 @@ def q27_news_headlines(sf_dir: str):
     from stocksight_ray.webtext import generate_table
 
     ds = rd.from_arrow(generate_table(800, seed=42))
-    out = news_pipeline(ds, enrich_concurrency=2).to_pandas()
+    out = news_pipeline(ds).to_pandas()
     out["polarity"] = out["polarity"].round(6)
     out["subjectivity"] = out["subjectivity"].round(6)
     return out.sort_values(["message"]).reset_index(drop=True)

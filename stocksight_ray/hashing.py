@@ -80,5 +80,8 @@ def hash_strings(keys, seed: int = _SEED) -> np.ndarray:
         # Fold the seed into the SipHash key itself (exactly 16 bytes) so a
         # distinct seed is a genuinely independent hash family — not a fixed
         # bijection of the unseeded hash (which would preserve all collisions).
+        # The key is "ss" + 14 hex digits, so only the seed's low 56 bits
+        # reach it: on this kernel, seeds that differ only above bit 55 are
+        # the same hash family (the polars kernel uses the whole seed).
         key = f"ss{seed & 0xFFFFFFFFFFFFFF:014x}"
     return pd.util.hash_array(obj, hash_key=key, categorize=False)

@@ -111,6 +111,10 @@ _TOKEN_RE = re.compile(
     )""",
     re.VERBOSE,
 )
+# Lucene syntax this parser does not implement (single-char wildcard, fuzzy
+# and proximity ``~``, boost ``^``, ranges ``[a TO b]``/``{a TO b}``): in a
+# bare word it would analyze to unrelated terms and silently match them
+_UNSUPPORTED_RE = re.compile(r"[?~^\[\]{}]")
 
 
 def _tokenize(s: str) -> List[Tuple[str, str]]:
@@ -191,6 +195,13 @@ class _Parser:
         if kind == "word":
             if v in ("AND", "OR", "NOT"):
                 raise ValueError(f"operator {v} needs operands")
+            if v in ("&&", "||"):
+                raise ValueError(f"operator {v} is not supported: use AND/OR")
+            bad = _UNSUPPORTED_RE.search(v)
+            if bad:
+                raise ValueError(
+                    f"unsupported query syntax {bad.group()!r} in {v!r}"
+                )
             t = self.peek()
             if t is not None and t[0] == "colon":
                 self.next()

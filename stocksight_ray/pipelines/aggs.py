@@ -25,6 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..geometry import bucket_groups
+
 
 def _combine_counts(batch: pa.Table, key: str) -> pa.Table:
     """Local combine: (key, partial count) rows for one batch."""
@@ -355,8 +357,6 @@ def grouped_topk(ds, group: str, key: str, value: str, k: int,
     deterministically by (value desc, key asc)."""
     from ray.data.aggregate import Sum
 
-    from .joins import _key_bucketizer
-
     def local(batch: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(
             batch.select([group, key, value]), [group, key]
@@ -372,10 +372,6 @@ def grouped_topk(ds, group: str, key: str, value: str, k: int,
     def head(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([group, out, key], ascending=[True, False, True],
                           kind="stable")
-        return g.groupby(group, sort=False).head(k).drop(columns=["_kb"])
+        return g.groupby(group, sort=False).head(k)
 
-    return (
-        totals.map_batches(_key_bucketizer(group, 64), batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(head, batch_format="pandas")
-    )
+    return bucket_groups(group, head, totals)

@@ -33,47 +33,25 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..geometry import bucket_groups
+
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
 
-def _content_hash(texts: List[str]) -> np.ndarray:
-    """Vectorized 63-bit content hash (only steers bucketing — the dedup
-    key is text equality, so the hash family is free to change without
-    affecting results)."""
-    from ..hashing import hash_strings
-
-    h = hash_strings(texts)
-    return (h >> np.uint64(1)).astype(np.int64)
-
-
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 num_buckets: Optional[int] = None):
-    """Keep the min-id row per distinct text.  Shuffle key = BUCKET of
-    hash(text) (fixed count, so map_groups runs O(buckets) vectorized
-    pandas calls, not one per distinct text); within a bucket the dedup
-    key is the full 63-bit hash + a text equality check (drop_duplicates
-    on text itself), guarding the ~2^-64 cross-text collision."""
-    from ..geometry import auto_buckets
-
-    NB = num_buckets or auto_buckets()
-
-    def hash_batch(batch: pa.Table) -> pa.Table:
-        h = _content_hash(batch[text_col].to_pylist())
-        return batch.append_column("_h", pa.array(h)).append_column(
-            "_hb", pa.array((h % NB).astype(np.int32))
-        )
+    """Keep the min-id row per distinct text.  One ``bucket_groups``
+    shuffle on the text (a bucket holds many texts, so the kernel runs
+    O(buckets) vectorized pandas calls, not one per distinct text); within
+    a bucket the dedup key is the text itself."""
 
     def first_per_text(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(id_col, kind="stable")
-        g = g.drop_duplicates(text_col, keep="first")  # min id per text
-        return g.drop(columns=["_h", "_hb"])
+        return g.drop_duplicates(text_col, keep="first")  # min id per text
 
-    return (
-        ds.map_batches(hash_batch, batch_format="pyarrow")
-        .groupby("_hb")
-        .map_groups(first_per_text, batch_format="pandas")
-    )
+    return bucket_groups(text_col, first_per_text, ds,
+                         num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -276,46 +254,27 @@ def jaccard(a: set, b: set) -> float:
 #      shingle digest / simhash / embedding vector), materialized so the
 #      expensive hashing runs a single time;
 #   2. band_keys explode to bare (band_key, id) 16 B rows -> ONE bucketed
-#      groupby -> vectorized in-bucket self-merge yields distinct candidate
+#      shuffle -> vectorized in-bucket self-merge yields distinct candidate
 #      pairs (a < b), PAIR_CAP'd per band key with a logged truncation;
-#   3. ONE bucketed groupby co-partitions pair endpoints with the
-#      single-copy payload table (union trick — payload is shuffled once,
-#      not once per band);
-#   4. ONE bucketed groupby re-unites the two endpoints of each pair and
-#      runs the exact verify kernel in place.
+#   3. ONE two-input bucketed shuffle co-partitions pair endpoints with the
+#      single-copy payload table (payload is shuffled once, not once per
+#      band);
+#   4. ONE bucketed shuffle on (a, b) re-unites the two endpoints of each
+#      pair and runs the exact verify kernel in place.
 #
-# Every groupby is on a fixed bucket count (NUM_BUCKETS) so map_groups costs
-# O(buckets) Python calls with vectorized pandas inside — never one call per
-# key.  Scale NUM_BUCKETS with corpus size so a bucket (~corpus payload /
-# buckets) fits a task's heap; skewed band keys are PAIR_CAP'd.
-
-# Floor for auto-derived bucket counts (geometry.auto_buckets) — every
-# public dedup entry point resolves its bucket count from the materialized
-# signature table's size + cluster CPUs, with this historical constant as
-# the floor so small-corpus behavior is unchanged.  Results are
+# Every shuffle is a ``geometry.bucket_groups`` call: it sizes the bucket
+# count from the data (floor 256) so a bucket fits a task's heap, and the
+# kernel runs O(buckets) Python calls with vectorized pandas inside — never
+# one call per key.  Skewed band keys are PAIR_CAP'd.  Results are
 # bucket-count-invariant (tested at two forced counts).
-NUM_BUCKETS = 256
 PAIR_CAP = 10_000
 # full enumeration of a band key's pairs stays under PAIR_CAP when the key
 # has at most _CAP_IDS docs; oversized keys keep their _CAP_IDS smallest ids
 _CAP_IDS = 141
 
 
-def _coalesce(ds, num_blocks: Optional[int]):
-    """Pre-shuffle coalesce (the r3 shuffle-geometry rule): Ray's sort-based
-    groupby creates O(in_blocks x out_partitions) intermediates, so every
-    all-to-all in the pair machinery coalesces its input first.  Profiled at
-    471k docs / 1.37M candidate pairs: the verify stage ran 90 s fed by map-
-    stage blocks and 5.7 s after this repartition.  ``num_blocks=None``
-    falls back to one block per CPU."""
-    from ..geometry import shuffle_num_blocks
-
-    return ds.repartition(num_blocks or shuffle_num_blocks(None))
-
-
 def _candidate_pairs(band_ds, id_col: str, op_name: str,
-                     num_buckets: int = NUM_BUCKETS,
-                     num_blocks: Optional[int] = None):
+                     num_buckets: Optional[int] = None):
     """(band_key, id) rows -> distinct-within-bucket candidate pairs (a < b).
 
     Pairs whose band keys landed in different buckets can still duplicate
@@ -323,14 +282,8 @@ def _candidate_pairs(band_ds, id_col: str, op_name: str,
     pair key) so each pair is verified once."""
     import logging
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        kb = pc.cast(
-            pc.bit_wise_and(batch["band_key"], num_buckets - 1), pa.int32()
-        )
-        return batch.append_column("_kb", kb)
-
     def bucket_pairs(g: pd.DataFrame) -> pa.Table:
-        g = g[["band_key", id_col]].drop_duplicates()
+        g = g.drop_duplicates()
         g = g.sort_values(["band_key", id_col], kind="stable")
         rank = g.groupby("band_key").cumcount()
         over = g.loc[rank >= _CAP_IDS, "band_key"]
@@ -351,12 +304,8 @@ def _candidate_pairs(band_ds, id_col: str, op_name: str,
             "b": pa.array(p["b"].to_numpy(np.int64)),
         })
 
-    return (
-        _coalesce(band_ds, num_blocks)
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
+    return bucket_groups("band_key", bucket_pairs, band_ds,
+                         num_buckets=num_buckets)
 
 
 def _explode_band_keys(id_col: str):
@@ -373,8 +322,7 @@ def _explode_band_keys(id_col: str):
 
 
 def _verify_pairs(pairs, attrs, id_col: str, attr_col: str, verify_group,
-                  num_buckets: int = NUM_BUCKETS,
-                  num_blocks: Optional[int] = None):
+                  num_buckets: Optional[int] = None):
     """Re-unite each candidate pair with BOTH endpoints' payload and run
     ``verify_group`` on the result — in two bucketed shuffles total, with
     the payload table shipped exactly once.
@@ -389,74 +337,43 @@ def _verify_pairs(pairs, attrs, id_col: str, attr_col: str, verify_group,
     verify_group(pdf) -> pa.Table over columns (a, b, attr_a, attr_b);
       MUST return a schema-stable Arrow table (same types when empty).
 
-    Shuffle 1 (groupby endpoint-id bucket): pair rows split into two
-      endpoint rows (k=a / k=b) and co-partition with payload rows (k=id);
-      a vectorized merge attaches the payload to each endpoint.
-    Shuffle 2 (groupby pair bucket): the two endpoint rows of a pair meet
+    Shuffle 1 (on the endpoint id k): pair rows split into two endpoint
+      rows (k=a / k=b) and meet the payload rows (k=id); the payload
+      attaches to each endpoint by position, keeping its Arrow type.
+    Shuffle 2 (on the pair (a, b)): the two endpoint rows of a pair meet
       again; duplicate pairs collapse; verify_group runs vectorized.
     """
-    attr_schema = attrs.schema()
-    attr_type = attr_schema.types[attr_schema.names.index(attr_col)]
 
     def endpoints(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(a)
         return pa.table({
             "k": pa.array(np.concatenate([a, b])),
             "a": pa.array(np.concatenate([a, a])),
             "b": pa.array(np.concatenate([b, b])),
-            "attr": pa.nulls(2 * n, attr_type),
-            "_tag": pa.array(np.zeros(2 * n, dtype=np.int8)),
         })
 
-    def payload_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        zeros = pa.array(np.zeros(n, dtype=np.int64))
-        # a/b carry 0 sentinels (not nulls): a nulled int64 column would
-        # round-trip through pandas as float64 and corrupt large ids
-        return pa.table({
-            "k": batch[id_col].cast(pa.int64()),
-            "a": zeros,
-            "b": zeros,
-            "attr": batch[attr_col].cast(attr_type),
-            "_tag": pa.array(np.ones(n, dtype=np.int8)),
-        })
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        kb = pc.cast(pc.bit_wise_and(batch["k"], num_buckets - 1), pa.int32())
-        return batch.append_column("_kb", kb)
-
-    def attach(g: pd.DataFrame) -> pa.Table:
+    def attach(e: pa.Table, d: pa.Table) -> pa.Table:
         # a candidate pair repeats once per shared band key (up to `bands`
         # times); its two endpoint rows have fixed keys (k=a / k=b), so
         # bucket-local distinct here collapses ALL repeats of an endpoint —
-        # BEFORE the payload merge.  Without this, every repeat carries the
+        # BEFORE the payload attach.  Without this, every repeat carries the
         # full payload through the second shuffle (measured 37 candidate
         # rows/doc on the 92k-doc webtext corpus with 32 aggressive bands —
         # the repeats, not the distinct pairs, were the volume).
-        e = g[g["_tag"] == 0].drop_duplicates(["k", "a", "b"])
-        d = g[g["_tag"] == 1].drop_duplicates("k")
-        if e.empty or d.empty:
-            return pa.table({
-                "a": pa.nulls(0, pa.int64()),
-                "b": pa.nulls(0, pa.int64()),
-                "side": pa.nulls(0, pa.int8()),
-                "attr": pa.nulls(0, attr_type),
-                "_pb": pa.nulls(0, pa.int32()),
-            })
-        j = e[["k", "a", "b"]].merge(d[["k", "attr"]], on="k")
+        ends = e.to_pandas().drop_duplicates()
+        rows = pd.DataFrame({
+            "k": d["k"].to_numpy(zero_copy_only=False).astype(np.int64),
+            "_row": np.arange(d.num_rows),
+        }).drop_duplicates("k")
+        j = ends.merge(rows, on="k")
         a = j["a"].to_numpy(np.int64)
-        b = j["b"].to_numpy(np.int64)
         k = j["k"].to_numpy(np.int64)
-        side = (k != a).astype(np.int8)  # 0 = payload of a, 1 = of b
-        pb = ((a * 1_000_003 + b) & (num_buckets - 1)).astype(np.int32)
         return pa.table({
             "a": pa.array(a),
-            "b": pa.array(b),
-            "side": pa.array(side),
-            "attr": pa.Array.from_pandas(j["attr"], type=attr_type),
-            "_pb": pa.array(pb),
+            "b": pa.array(j["b"].to_numpy(np.int64)),
+            "side": pa.array((k != a).astype(np.int8)),  # 0 = payload of a
+            "attr": d[attr_col].take(pa.array(j["_row"].to_numpy(np.int64))),
         })
 
     def combine(g: pd.DataFrame) -> pa.Table:
@@ -469,16 +386,14 @@ def _verify_pairs(pairs, attrs, id_col: str, attr_col: str, verify_group,
         )
         return verify_group(s0.merge(s1, on=["a", "b"]))
 
-    unioned = _coalesce(
-        pairs.map_batches(endpoints, batch_format="pyarrow")
-        .union(attrs.map_batches(payload_rows, batch_format="pyarrow")),
-        num_blocks,
-    ).map_batches(bucketize, batch_format="pyarrow")
-    attached = _coalesce(
-        unioned.groupby("_kb").map_groups(attach, batch_format="pandas"),
-        num_blocks,
+    attached = bucket_groups(
+        "k", attach,
+        pairs.map_batches(endpoints, batch_format="pyarrow"),
+        attrs.select_columns([id_col, attr_col]).rename_columns({id_col: "k"}),
+        batch_format="pyarrow", num_buckets=num_buckets,
     )
-    return attached.groupby("_pb").map_groups(combine, batch_format="pandas")
+    return bucket_groups(["a", "b"], combine, attached,
+                         num_buckets=num_buckets)
 
 
 # Fused (single-shuffle) small-corpus complement of _candidate_pairs +
@@ -493,10 +408,9 @@ FUSE_SIGS_BYTES = 256 << 20  # 256 MiB payload table → ≤ bands × 256 MiB sh
 
 
 def _fused_pair_verify(sigs, id_col: str, attr_col: str, verify_group,
-                       op_name: str, num_buckets: int = NUM_BUCKETS,
-                       num_blocks: Optional[int] = None):
+                       op_name: str, num_buckets: Optional[int] = None):
     """Explode (id, attr, band_keys) → (band_key, id, attr) rows → one
-    bucketed groupby generating AND verifying candidate pairs in place.
+    bucketed shuffle generating AND verifying candidate pairs in place.
     Emitted edges can repeat across buckets (a pair may share several band
     keys); min-id decision folding is idempotent, so callers that reduce to
     per-doc decisions (minhash/simhash dedup) are unaffected.  Pair-listing
@@ -504,19 +418,12 @@ def _fused_pair_verify(sigs, id_col: str, attr_col: str, verify_group,
     import logging
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        attrs = np.asarray(batch[attr_col].to_pylist(), dtype=object)
-        lists = batch["band_keys"].to_pylist()
-        reps = [len(ks) for ks in lists]
-        flat = np.array(
-            [k for ks in lists for k in ks], dtype=np.int64
-        )
-        kb = (flat & (num_buckets - 1)).astype(np.int32)
+        keys = batch["band_keys"].combine_chunks()
+        rows = pc.list_parent_indices(keys)
         return pa.table({
-            "band_key": pa.array(flat),
-            id_col: pa.array(np.repeat(ids, reps).astype(np.int64)),
-            "attr": pa.array(list(np.repeat(attrs, reps)), pa.binary()),
-            "_kb": pa.array(kb),
+            "band_key": pc.list_flatten(keys),
+            id_col: batch[id_col].cast(pa.int64()).take(rows),
+            "attr": batch[attr_col].take(rows),
         })
 
     def bucket_verify(g: pd.DataFrame) -> pa.Table:
@@ -542,10 +449,10 @@ def _fused_pair_verify(sigs, id_col: str, attr_col: str, verify_group,
         })
         return verify_group(pdf)
 
-    return (
-        _coalesce(sigs.map_batches(explode, batch_format="pyarrow"), num_blocks)
-        .groupby("_kb")
-        .map_groups(bucket_verify, batch_format="pandas")
+    return bucket_groups(
+        "band_key", bucket_verify,
+        sigs.map_batches(explode, batch_format="pyarrow"),
+        num_buckets=num_buckets,
     )
 
 
@@ -562,16 +469,12 @@ def _pick_mode(sigs, mode: str) -> bool:
         return False
 
 
-def _min_id_decisions(edges, id_col: str, num_buckets: int = NUM_BUCKETS):
+def _min_id_decisions(edges, id_col: str, num_buckets: Optional[int] = None):
     """(doc, neighbor) verified-duplicate edges -> (id_col, keep) decisions:
     a doc is dropped if any verified neighbor has a smaller id (min-id-wins
     canonical keeper; transitive chains collapse to the smallest id over
     repeated application — one pass matches the standard one-shot LSH dedup
     used in web-corpus pipelines)."""
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        db = pc.cast(pc.bit_wise_and(batch["doc"], num_buckets - 1), pa.int32())
-        return batch.append_column("_db", db)
 
     def decide(g: pd.DataFrame) -> pa.Table:
         m = g.groupby("doc")["neighbor"].min()
@@ -580,12 +483,7 @@ def _min_id_decisions(edges, id_col: str, num_buckets: int = NUM_BUCKETS):
             "keep": pa.array(m.to_numpy(np.int64) >= m.index.to_numpy(np.int64)),
         })
 
-    return (
-        _coalesce(edges, None)
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_db")
-        .map_groups(decide, batch_format="pandas")
-    )
+    return bucket_groups("doc", decide, edges, num_buckets=num_buckets)
 
 
 def _jaccard_from_digests(da, db) -> np.ndarray:
@@ -687,12 +585,6 @@ def minhash_lsh_dedup(
         )
 
     sigs = ds.map_batches(digest_rows, batch_format="pyarrow").materialize()
-    from ..geometry import auto_buckets, shuffle_num_blocks
-
-    nb = num_buckets or auto_buckets(sigs.size_bytes() or None)
-    # the attach step duplicates the payload per pair endpoint; ~4x the
-    # digest table is a serviceable upper bound for block sizing
-    nblk = shuffle_num_blocks(4 * (sigs.size_bytes() or 0) or None)
 
     def verify(p: pd.DataFrame) -> pa.Table:
         doc = np.array([], dtype=np.int64)
@@ -709,7 +601,7 @@ def minhash_lsh_dedup(
     if _pick_mode(sigs, mode):
         edges = _fused_pair_verify(
             sigs, id_col, "digest", verify, "minhash_lsh_dedup",
-            num_buckets=nb, num_blocks=nblk,
+            num_buckets=num_buckets,
         )
     else:
         cands = _candidate_pairs(
@@ -718,13 +610,13 @@ def minhash_lsh_dedup(
             ),
             id_col,
             "minhash_lsh_dedup",
-            num_buckets=nb, num_blocks=nblk,
+            num_buckets=num_buckets,
         )
         edges = _verify_pairs(
             cands, sigs.select_columns([id_col, "digest"]), id_col, "digest",
-            verify, num_buckets=nb, num_blocks=nblk,
+            verify, num_buckets=num_buckets,
         )
-    return _min_id_decisions(edges, id_col, num_buckets=nb)
+    return _min_id_decisions(edges, id_col, num_buckets=num_buckets)
 
 
 def minhash_keep_ids(ds, text_col="text", id_col="doc_id", **kw):
@@ -850,14 +742,10 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             neigh = p["a"].to_numpy(np.int64)[hit]
         return pa.table({"doc": pa.array(doc), "neighbor": pa.array(neigh)})
 
-    from ..geometry import auto_buckets, shuffle_num_blocks
-
-    nb = num_buckets or auto_buckets(sigs.size_bytes() or None)
-    nblk = shuffle_num_blocks(4 * (sigs.size_bytes() or 0) or None)
     if _pick_mode(sigs, mode):
         edges = _fused_pair_verify(
             sigs, id_col, "simhash", verify, "simhash_dedup",
-            num_buckets=nb, num_blocks=nblk,
+            num_buckets=num_buckets,
         )
     else:
         cands = _candidate_pairs(
@@ -866,13 +754,13 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             ),
             id_col,
             "simhash_dedup",
-            num_buckets=nb, num_blocks=nblk,
+            num_buckets=num_buckets,
         )
         edges = _verify_pairs(
             cands, sigs.select_columns([id_col, "simhash"]), id_col,
-            "simhash", verify, num_buckets=nb, num_blocks=nblk,
+            "simhash", verify, num_buckets=num_buckets,
         )
-    return _min_id_decisions(edges, id_col, num_buckets=nb)
+    return _min_id_decisions(edges, id_col, num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -909,17 +797,13 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         )
 
     sigs = ds.map_batches(digest_rows, batch_format="pyarrow").materialize()
-    from ..geometry import auto_buckets, shuffle_num_blocks
-
-    nb = num_buckets or auto_buckets(sigs.size_bytes() or None)
-    nblk = shuffle_num_blocks(4 * (sigs.size_bytes() or 0) or None)
     cands = _candidate_pairs(
         sigs.select_columns([id_col, "band_keys"]).map_batches(
             _explode_band_keys(id_col), batch_format="pyarrow"
         ),
         id_col,
         "ngram_jaccard_pairs",
-        num_buckets=nb, num_blocks=nblk,
+        num_buckets=num_buckets,
     )
 
     def verify(p: pd.DataFrame) -> pa.Table:
@@ -940,7 +824,7 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     return _verify_pairs(
         cands, sigs.select_columns([id_col, "digest"]), id_col, "digest",
-        verify, num_buckets=nb, num_blocks=nblk,
+        verify, num_buckets=num_buckets,
     )
 
 
@@ -971,10 +855,6 @@ def embedding_dedup(ds, vec_col: str = "embedding", id_col: str = "vec_id",
     different vectors than it verifies (ADVICE r2)."""
     bits_per_band = num_planes // bands
     vecs_tbl = ds.select_columns([id_col, vec_col]).materialize()
-    from ..geometry import auto_buckets, shuffle_num_blocks
-
-    nb = num_buckets or auto_buckets(vecs_tbl.size_bytes() or None)
-    nblk = shuffle_num_blocks(4 * (vecs_tbl.size_bytes() or 0) or None)
 
     class BandRows:
         def __init__(self):
@@ -1005,7 +885,7 @@ def embedding_dedup(ds, vec_col: str = "embedding", id_col: str = "vec_id",
         vecs_tbl.map_batches(BandRows, batch_format="pyarrow", concurrency=2),
         id_col,
         "embedding_dedup",
-        num_buckets=nb, num_blocks=nblk,
+        num_buckets=num_buckets,
     )
 
     def verify(p: pd.DataFrame) -> pa.Table:
@@ -1027,10 +907,9 @@ def embedding_dedup(ds, vec_col: str = "embedding", id_col: str = "vec_id",
         return pa.table({"doc": pa.array(doc), "neighbor": pa.array(neigh)})
 
     edges = _verify_pairs(
-        cands, vecs_tbl, id_col, vec_col, verify, num_buckets=nb,
-        num_blocks=nblk,
+        cands, vecs_tbl, id_col, vec_col, verify, num_buckets=num_buckets,
     )
-    return _min_id_decisions(edges, id_col, num_buckets=nb)
+    return _min_id_decisions(edges, id_col, num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,17 +956,13 @@ def cross_dedup(cand, ref, text_col: str = "text", id_col: str = "doc_id",
         .union(ref.map_batches(tag_side(1), batch_format="pyarrow"))
         .materialize()
     )
-    from ..geometry import auto_buckets, shuffle_num_blocks
-
-    nb = num_buckets or auto_buckets(sigs.size_bytes() or None)
-    nblk = shuffle_num_blocks(4 * (sigs.size_bytes() or 0) or None)
     cands_pairs = _candidate_pairs(
         sigs.select_columns([id_col, "band_keys"]).map_batches(
             _explode_band_keys(id_col), batch_format="pyarrow"
         ),
         id_col,
         "cross_dedup",
-        num_buckets=nb, num_blocks=nblk,
+        num_buckets=num_buckets,
     )
 
     def cross_only(batch: pa.Table) -> pa.Table:
@@ -1119,7 +994,7 @@ def cross_dedup(cand, ref, text_col: str = "text", id_col: str = "doc_id",
 
     edges = _verify_pairs(
         cands_pairs, sigs.select_columns([id_col, "digest"]), id_col,
-        "digest", verify, num_buckets=nb, num_blocks=nblk,
+        "digest", verify, num_buckets=num_buckets,
     )
     drop = np.unique(edges.to_pandas()["doc"].to_numpy(np.int64))
     drop_ref = ray.put(drop)

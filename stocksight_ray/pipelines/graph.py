@@ -19,9 +19,9 @@ distributed path never collects it:
 * state is a ``(node, lbl)`` Dataset, one row per edge endpoint;
 * each round runs min-label propagation (``L(v) <- min(L(v), min of
   L(u) over neighbors u)``) followed by POINTER JUMPING (``L(v) <-
-  L(L(v))``), both as bucketed co-partition joins (the same union-tag
-  merge layout as ``dedup._verify_pairs``) — 3 bucketed shuffles per
-  round over O(E + V) slim int64 rows;
+  L(L(v))``), both as two-input ``geometry.bucket_groups`` joins of the
+  queries with the label table — 3 bucketed shuffles per round over
+  O(E + V) slim int64 rows;
 * pointer jumping halves the depth of every label chain, so convergence
   is O(log n) rounds regardless of component diameter (a 100-long path
   converges in ~7 rounds, not 100) — the standard MapReduce CC recipe
@@ -35,22 +35,23 @@ min-propagation + pointer jumping, one process, no shuffles) under
 ``DRIVER_CC_MAX_EDGES`` — the same measured trade as ingest's
 driver-slim dedup fast path: below ~a few million edges, per-round
 launch latency dominates the actual work.  Both paths produce identical
-labels (property-tested via the ``STOCKSIGHT_DRIVER_CC_MAX`` override).
+labels (tested by forcing the distributed path with
+``driver_max_edges=0``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
+
+from ..geometry import bucket_groups
 
 # Edge count at/below which connected_components runs the driver-side numpy
-# kernel (64 MiB of int64 pairs at the default).  Env override for tests.
-DRIVER_CC_MAX_EDGES = int(os.environ.get("STOCKSIGHT_DRIVER_CC_MAX", 4_000_000))
+# kernel (64 MiB of int64 pairs at the default).
+DRIVER_CC_MAX_EDGES = 4_000_000
 
 
 def _cc_local(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -73,64 +74,22 @@ def _cc_local(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, nodes[lbl]
 
 
-def _bucketize_col(col: str, num_buckets: int):
-    def f(batch: pa.Table) -> pa.Table:
-        kb = pc.cast(pc.bit_wise_and(batch[col], num_buckets - 1), pa.int32())
-        return batch.append_column("_kb", kb)
-
-    return f
-
-
-def _attach_labels(rows, labels, num_buckets: int, num_blocks: int):
+def _attach_labels(rows, labels, num_buckets: Optional[int]):
     """Co-partition join: ``rows`` is (k, v), ``labels`` is (node, lbl) with
     UNIQUE node; returns (v, lbl=L(k)).  Every k MUST exist in labels (true
-    by construction here: label values are always node ids).  One bucketed
-    groupby; int64 sentinel padding instead of nulls (a nulled int64 column
-    would round-trip through pandas as float64 and corrupt large ids)."""
+    by construction here: label values are always node ids)."""
 
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "k": batch["k"].cast(pa.int64()),
-            "v": batch["v"].cast(pa.int64()),
-            "lbl": pa.array(np.zeros(n, dtype=np.int64)),
-            "_tag": pa.array(np.zeros(n, dtype=np.int8)),
-        })
-
-    def tag_labels(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "k": batch["node"].cast(pa.int64()),
-            "v": pa.array(np.zeros(n, dtype=np.int64)),
-            "lbl": batch["lbl"].cast(pa.int64()),
-            "_tag": pa.array(np.ones(n, dtype=np.int8)),
-        })
-
-    def attach(g: pd.DataFrame) -> pa.Table:
-        q = g[g["_tag"] == 0]
-        l = g[g["_tag"] == 1]
-        if q.empty:
-            return pa.table({
-                "v": pa.nulls(0, pa.int64()), "lbl": pa.nulls(0, pa.int64()),
-            })
-        j = q[["k", "v"]].merge(l[["k", "lbl"]], on="k")
+    def attach(q: pd.DataFrame, l: pd.DataFrame) -> pa.Table:
+        j = q[["k", "v"]].merge(l, on="k")
         return pa.table({
             "v": pa.array(j["v"].to_numpy(np.int64)),
             "lbl": pa.array(j["lbl"].to_numpy(np.int64)),
         })
 
-    # coalesce before the all-to-all: Ray's sort shuffle creates
-    # O(in_blocks x out_partitions) intermediates, and the per-round unions
-    # would otherwise compound tiny blocks round over round (the round-3
-    # shuffle-geometry lesson — a 200-edge graph measured 44 s/round before
-    # this repartition, <2 s after)
-    unioned = (
-        rows.map_batches(tag_rows, batch_format="pyarrow")
-        .union(labels.map_batches(tag_labels, batch_format="pyarrow"))
-        .repartition(num_blocks)
-        .map_batches(_bucketize_col("k", num_buckets), batch_format="pyarrow")
+    return bucket_groups(
+        "k", attach, rows, labels.rename_columns({"node": "k"}),
+        num_buckets=num_buckets,
     )
-    return unioned.groupby("_kb").map_groups(attach, batch_format="pandas")
 
 
 def connected_components(
@@ -151,8 +110,6 @@ def connected_components(
     raises rather than returning partial labels."""
     import ray.data as rd
 
-    from ..geometry import auto_buckets, shuffle_num_blocks
-
     cap = DRIVER_CC_MAX_EDGES if driver_max_edges is None else driver_max_edges
     edges = edges.select_columns(["a", "b"]).materialize()
     n_edges = edges.count()
@@ -165,11 +122,6 @@ def connected_components(
         return rd.from_arrow(
             pa.table({"node": pa.array(nodes), "component": pa.array(comp)})
         )
-
-    size = edges.size_bytes() or None
-    nb = num_buckets or auto_buckets(size)
-    n_blocks = shuffle_num_blocks(size)
-    edges = edges.repartition(n_blocks)
 
     # round 0 folds init + first neighbor-min: L(v) = min(v, min nbrs)
     def both_dirs(batch: pa.Table) -> pa.Table:
@@ -189,54 +141,28 @@ def connected_components(
         })
 
     sym = edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
-    labels = (
-        sym.map_batches(_bucketize_col("k", nb), batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(init_labels, batch_format="pandas")
-        .repartition(n_blocks)
-        .materialize()
-    )
+    labels = bucket_groups("k", init_labels, sym,
+                           num_buckets=num_buckets).materialize()
 
-    def reduce_min(g: pd.DataFrame) -> pa.Table:
-        # self rows carry the previous label in `old` (sentinel max for
-        # messages); min(old) per node = the previous label
-        agg = g.groupby("v").agg(lbl=("lbl", "min"), old=("old", "min"))
-        node = agg.index.to_numpy(np.int64)
-        new = agg["lbl"].to_numpy(np.int64)
-        old = agg["old"].to_numpy(np.int64)
+    def reduce_min(msgs: pd.DataFrame, own: pd.DataFrame) -> pa.Table:
+        # own: every node's previous label; msgs: (v=node, lbl=L(nbr))
+        new = pd.concat([msgs, own]).groupby("v")["lbl"].min()
+        old = own.set_index("v")["lbl"].reindex(new.index).to_numpy(np.int64)
+        lbl = new.to_numpy(np.int64)
         return pa.table({
-            "node": pa.array(node),
-            "lbl": pa.array(new),
-            "_chg": pa.array((new < old).astype(np.int64)),
+            "node": pa.array(new.index.to_numpy(np.int64)),
+            "lbl": pa.array(lbl),
+            "_chg": pa.array((lbl < old).astype(np.int64)),
         })
 
-    sentinel = np.iinfo(np.int64).max
     for _ in range(max_iters):
         # phase 1: neighbor-min.  messages (v=node, lbl=L(nbr)) from the
         # static symmetric edge list, then min with the node's own label.
-        msgs = _attach_labels(sym, labels, nb, n_blocks)
-
-        def add_old_msg(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return pa.table({
-                "v": batch["v"], "lbl": batch["lbl"],
-                "old": pa.array(np.full(n, sentinel, dtype=np.int64)),
-            })
-
-        def add_old_self(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "v": batch["node"], "lbl": batch["lbl"], "old": batch["lbl"],
-            })
-
-        merged = (
-            msgs.map_batches(add_old_msg, batch_format="pyarrow")
-            .union(labels.map_batches(add_old_self, batch_format="pyarrow"))
-            .repartition(n_blocks)
-            .map_batches(_bucketize_col("v", nb), batch_format="pyarrow")
-            .groupby("_kb")
-            .map_groups(reduce_min, batch_format="pandas")
-            .materialize()
-        )
+        msgs = _attach_labels(sym, labels, num_buckets)
+        merged = bucket_groups(
+            "v", reduce_min, msgs, labels.rename_columns({"node": "v"}),
+            num_buckets=num_buckets,
+        ).materialize()
         changed = int(merged.sum("_chg") or 0)
         l1 = merged.drop_columns(["_chg"]).materialize()
 
@@ -246,7 +172,7 @@ def connected_components(
             return pa.table({"k": batch["lbl"], "v": batch["node"]})
 
         jumped = _attach_labels(
-            l1.map_batches(as_query, batch_format="pyarrow"), l1, nb, n_blocks
+            l1.map_batches(as_query, batch_format="pyarrow"), l1, num_buckets
         )
 
         def rename(batch: pa.Table) -> pa.Table:

@@ -546,9 +546,9 @@ def dedup_and_assign_ids(ds, key: str = "url", ts: str = "warc_ts",
 
 
 class EnrichStage:
-    """Actor-pool stage: tokens (T1), admission filters (F1-F3), sentiment
-    (P5 clean + M1 two-source scorer).  Lexicons/stopwords are module data
-    loaded once per actor process."""
+    """Enrich stage: tokens (T1), admission filters (F1-F3), sentiment
+    (P5 clean + M1 two-source scorer).  Lexicons/stopwords are module data;
+    ``_enrich_task`` keeps one stage per worker process and config."""
 
     def __init__(
         self,
@@ -624,7 +624,6 @@ def ingest_webtext(
     input_path,
     out_dir: Optional[str] = None,
     *,
-    enrich_concurrency: Optional[int] = None,
     tokens_required: Tuple[str, ...] = (),
     tokens_ignored: Tuple[str, ...] = (),
     min_tokens: int = 5,
@@ -673,36 +672,21 @@ def ingest_webtext(
     ds = ds.map_batches(extract_batch, batch_format="pyarrow", batch_size=batch_size)
     ds = ds.map_batches(clean_filter_batch, batch_format="pyarrow", batch_size=batch_size)
     ds = dedup_and_assign_ids(ds, "url", "warc_ts", schema=post_schema)  # fused: ONE shuffle
-    # TASK form by default: EnrichStage state is module-level lexicons
-    # (construction is free — measured 0 ms), so tasks on already-warm
-    # worker processes beat an actor pool, which pays a cold-start ramp of
-    # CPUs-2 fresh actor processes and pins CPUs against neighboring task
-    # operators (profiled r3 on the 500k-page corpus).  Pass an int/tuple
-    # ``enrich_concurrency`` to pin an actor pool instead — the right call
-    # when the stage carries genuinely expensive state (model weights).
-    if enrich_concurrency is None:
-        ds = ds.map_batches(
-            _enrich_task,
-            fn_kwargs=dict(
-                min_tokens=min_tokens,
-                tokens_required=tokens_required,
-                tokens_ignored=tokens_ignored,
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    else:
-        ds = ds.map_batches(
-            EnrichStage,
-            fn_constructor_kwargs=dict(
-                min_tokens=min_tokens,
-                tokens_required=tokens_required,
-                tokens_ignored=tokens_ignored,
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=enrich_concurrency,
-        )
+    # task form: EnrichStage state is module-level lexicons (construction
+    # is free — measured 0 ms), so tasks on already-warm worker processes
+    # beat an actor pool, which pays a cold-start ramp of CPUs-2 fresh actor
+    # processes and pins CPUs against neighboring task operators (profiled
+    # r3 on the 500k-page corpus)
+    ds = ds.map_batches(
+        _enrich_task,
+        fn_kwargs=dict(
+            min_tokens=min_tokens,
+            tokens_required=tokens_required,
+            tokens_ignored=tokens_ignored,
+        ),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
     if out_dir is not None:
         import json
         import os

@@ -13,25 +13,25 @@ Reference semantics, reproduced exactly (order matters):
     if urls_sub > 0: subjectivity = (subjectivity + urls_sub) / 2  # when > 0
 
 ``fold_link_scores`` is the scalar reference-parity kernel (golden-tested);
-``link_score_fold`` is the distributed operator: TWO bucketed shuffles —
-a url-bucket co-partition attaches page scores to exploded (doc, pos, url)
+``link_score_fold`` is the distributed operator: TWO ``bucket_groups``
+shuffles — one on url attaches page scores to exploded (doc, pos, url)
 rows (links missing from ``pages`` are skipped, the analogue of the
-reference's failed fetches), then a doc-bucket groupby replays the ordered
-fold per document.  Both shuffles run on fixed bucket counts (vectorized
-pandas inside, no per-key task) and neither side is broadcast — the pages
-table may be corpus-sized.
+reference's failed fetches), then one on the doc id replays the ordered
+fold per document.  Both run vectorized pandas per bucket (no per-key
+task) and neither side is broadcast — the pages table may be corpus-sized.
 """
 
 from __future__ import annotations
 
 
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-NUM_BUCKETS = 256
+from ..geometry import bucket_groups
 
 
 def fold_link_scores(
@@ -59,15 +59,6 @@ def fold_link_scores(
     return polarity, subjectivity, sentiment
 
 
-def _url_bucket(urls, num_buckets: int) -> np.ndarray:
-    """Steering-only co-partition bucket (url-score join): one vectorized
-    hash pass (hashing.hash_strings) instead of the round-3 per-row
-    ``zlib.crc32`` loop — output-neutral, equal urls still co-locate."""
-    from ..hashing import hash_strings
-
-    return (hash_strings(urls) % np.uint64(num_buckets)).astype(np.int32)
-
-
 def link_score_fold(
     docs,
     pages,
@@ -78,7 +69,7 @@ def link_score_fold(
     sub_col: str = "subjectivity",
     sen_col: str = "sentiment",
     url_col: str = "url",
-    num_buckets: int = NUM_BUCKETS,
+    num_buckets: Optional[int] = None,
 ):
     """Fold linked-page sentiment into each doc's scores.
 
@@ -89,107 +80,52 @@ def link_score_fold(
 
     # ---- stage 1: attach page scores to exploded (doc, pos, url) rows ----
     def explode(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        lists = batch[urls_col].to_pylist()
-        flat = [u for us in lists for u in us]
-        pos = np.concatenate(
-            [np.arange(len(us), dtype=np.int64) for us in lists]
-        ) if flat else np.array([], dtype=np.int64)
-        n = len(flat)
+        lists = batch[urls_col].combine_chunks()
+        lens = pc.list_value_length(lists).fill_null(0).to_numpy()
         return pa.table({
-            id_col: pa.array(
-                np.repeat(ids, [len(us) for us in lists]).astype(np.int64)
+            id_col: batch[id_col].cast(pa.int64()).take(
+                pc.list_parent_indices(lists)
             ),
-            "pos": pa.array(pos),
-            url_col: pa.array(flat, pa.string()),
-            "lpol": pa.nulls(n, pa.float64()),
-            "lsub": pa.nulls(n, pa.float64()),
-            "lsen": pa.nulls(n, pa.string()),
-            "_tag": pa.array(np.zeros(n, dtype=np.int8)),
-            "_ub": pa.array(_url_bucket(flat, num_buckets)),
+            "pos": pa.array(
+                np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+            ),
+            url_col: pc.list_flatten(lists).cast(pa.string()),
         })
 
-    def page_rows(batch: pa.Table) -> pa.Table:
-        urls = batch[url_col].to_pylist()
-        n = len(urls)
-        zeros = pa.array(np.zeros(n, dtype=np.int64))
-        return pa.table({
-            id_col: zeros,
-            "pos": zeros,
-            url_col: batch[url_col],
-            "lpol": batch[pol_col].cast(pa.float64()),
-            "lsub": batch[sub_col].cast(pa.float64()),
-            "lsen": batch[sen_col],
-            "_tag": pa.array(np.ones(n, dtype=np.int8)),
-            "_ub": pa.array(_url_bucket(urls, num_buckets)),
-        })
-
-    def attach(g: pd.DataFrame) -> pa.Table:
-        e = g[g["_tag"] == 0]
-        d = g[g["_tag"] == 1].drop_duplicates(url_col)
-        j = e[[id_col, "pos", url_col]].merge(
-            d[[url_col, "lpol", "lsub", "lsen"]], on=url_col, how="inner"
+    def attach(e: pd.DataFrame, d: pd.DataFrame) -> pa.Table:
+        d = d.drop_duplicates(url_col)
+        j = e.merge(
+            d[[url_col, pol_col, sub_col, sen_col]], on=url_col, how="inner"
         )  # inner: links without a page are skipped (failed fetch -> None)
         return pa.table({
             id_col: pa.array(j[id_col].to_numpy(np.int64)),
             "pos": pa.array(j["pos"].to_numpy(np.int64)),
-            "lpol": pa.array(j["lpol"].to_numpy(np.float64)),
-            "lsub": pa.array(j["lsub"].to_numpy(np.float64)),
-            "lsen": pa.array(j["lsen"].astype(str), pa.string()),
+            "lpol": pa.array(j[pol_col].to_numpy(np.float64)),
+            "lsub": pa.array(j[sub_col].to_numpy(np.float64)),
+            "lsen": pa.array(j[sen_col].astype(str), pa.string()),
         })
 
-    links = (
-        docs.select_columns([id_col, urls_col])
-        .map_batches(explode, batch_format="pyarrow")
-        .union(pages.map_batches(page_rows, batch_format="pyarrow"))
-        .groupby("_ub")
-        .map_groups(attach, batch_format="pandas")
+    links = bucket_groups(
+        url_col, attach,
+        docs.select_columns([id_col, urls_col]).map_batches(
+            explode, batch_format="pyarrow"
+        ),
+        pages.select_columns([url_col, pol_col, sub_col, sen_col]),
+        num_buckets=num_buckets,
     )
 
     # ---- stage 2: replay the ordered fold per doc ----
-    def doc_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        zeros = pa.array(np.zeros(n, dtype=np.int64))
-        return pa.table({
-            id_col: batch[id_col].cast(pa.int64()),
-            "pos": zeros,
-            "lpol": batch[pol_col].cast(pa.float64()),
-            "lsub": batch[sub_col].cast(pa.float64()),
-            "lsen": batch[sen_col],
-            "_tag": pa.array(np.zeros(n, dtype=np.int8)),
-        })
-
-    def link_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            id_col: batch[id_col],
-            "pos": batch["pos"],
-            "lpol": batch["lpol"],
-            "lsub": batch["lsub"],
-            "lsen": batch["lsen"],
-            "_tag": pa.array(np.ones(n, dtype=np.int8)),
-        })
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        db = pc.cast(
-            pc.bit_wise_and(batch[id_col], num_buckets - 1), pa.int32()
-        )
-        return batch.append_column("_db", db)
-
-    def fold(g: pd.DataFrame) -> pa.Table:
-        base = g[g["_tag"] == 0]
-        ln = g[g["_tag"] == 1].sort_values([id_col, "pos"], kind="stable")
+    def fold(base: pd.DataFrame, ln: pd.DataFrame) -> pa.Table:
+        ln = ln.sort_values([id_col, "pos"], kind="stable")
         # fast path: a doc with zero links folds to itself (urls_pol/sub
         # stay 0, sentiment untouched) — the typical majority; only
         # link-bearing docs replay the order-dependent sequential fold
         has_links = base[id_col].isin(ln[id_col].unique())
         plain = base[~has_links]
         ids = plain[id_col].to_numpy(np.int64).tolist()
-        pols = plain["lpol"].to_numpy(np.float64).tolist()
-        subs = plain["lsub"].to_numpy(np.float64).tolist()
-        sens = plain["lsen"].tolist()
+        pols = plain[pol_col].to_numpy(np.float64).tolist()
+        subs = plain[sub_col].to_numpy(np.float64).tolist()
+        sens = plain[sen_col].tolist()
         by_doc = {
             did: list(zip(sub["lpol"], sub["lsub"], sub["lsen"]))
             for did, sub in ln.groupby(id_col)
@@ -197,7 +133,7 @@ def link_score_fold(
         for _, r in base[has_links].iterrows():
             did = int(r[id_col])
             p, s, lab = fold_link_scores(
-                float(r["lpol"]), float(r["lsub"]), r["lsen"],
+                float(r[pol_col]), float(r[sub_col]), r[sen_col],
                 by_doc.get(did, ()),
             )
             ids.append(did)
@@ -211,13 +147,10 @@ def link_score_fold(
             "sentiment": pa.array(sens, pa.string()),
         })
 
-    return (
-        docs.select_columns([id_col, pol_col, sub_col, sen_col])
-        .map_batches(doc_rows, batch_format="pyarrow")
-        .union(links.map_batches(link_rows, batch_format="pyarrow"))
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_db")
-        .map_groups(fold, batch_format="pandas")
+    return bucket_groups(
+        id_col, fold,
+        docs.select_columns([id_col, pol_col, sub_col, sen_col]), links,
+        num_buckets=num_buckets,
     )
 
 
@@ -232,7 +165,6 @@ def filter_pages_substring(
     dropped from the pages table entirely — the fold then skips those
     links exactly like the reference's ``return None``.  Map-side
     vectorized substring predicate; no shuffle."""
-    import pyarrow.compute as pc
 
     def f(batch: pa.Table) -> pa.Table:
         return batch.filter(

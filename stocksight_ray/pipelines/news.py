@@ -30,6 +30,7 @@ import pyarrow as pa
 from ..functions.htmlx import extract_headlines
 from ..functions.sentiment import sentiment_analysis
 from ..functions.tokenize import nltk_style_tokens
+from ..geometry import bucket_groups
 
 
 def headlines_batch(batch: pa.Table) -> pa.Table:
@@ -55,37 +56,24 @@ def headlines_batch(batch: pa.Table) -> pa.Table:
 
 def _dedup_headline(group: pd.DataFrame) -> pd.DataFrame:
     g = group.sort_values(["message", "date", "location"], kind="stable")
-    return g.drop_duplicates("message", keep="first").drop(columns=["_h"])
+    return g.drop_duplicates("message", keep="first")
 
 
-def dedup_headlines(ds, num_buckets: int = 256):
+def dedup_headlines(ds, num_buckets: Optional[int] = None):
     """The reference's in-process ``self.headlines`` list
     (/root/reference/sentiment.py:272,281-282) as a shuffle: BUCKET of
     hash(message) partitions (fixed count — one vectorized pandas dedup per
     bucket, not one task per distinct headline); earliest (date, location)
     wins deterministically.  Bucket values only steer the shuffle (equal
-    messages always co-locate), so the hash runs through the vectorized
-    hashing.hash_strings kernel, not a per-row loop."""
-
-    def hash_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        from ..hashing import hash_strings
-
-        batch["_h"] = (
-            hash_strings(batch["message"].to_numpy(dtype=object))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return batch
-
-    return (
-        ds.map_batches(hash_batch, batch_format="pandas")
-        .groupby("_h")
-        .map_groups(_dedup_headline, batch_format="pandas")
-    )
+    messages always co-locate)."""
+    return bucket_groups("message", _dedup_headline, ds,
+                         num_buckets=num_buckets)
 
 
 class NewsEnrichStage:
-    """Actor-pool stage: tokens + admission (F1-F3 with the news-mode
-    min_tokens from sentiment.py:300) + sentiment (M1)."""
+    """Enrich stage, run by ``_news_enrich_task``: tokens + admission
+    (F1-F3 with the news-mode min_tokens from sentiment.py:300) + sentiment
+    (M1)."""
 
     def __init__(
         self,
@@ -151,7 +139,6 @@ def _news_enrich_task(batch: pa.Table, *, min_tokens, tokens_required,
 def news_pipeline(
     input_path,
     *,
-    enrich_concurrency=None,
     min_tokens: int = 5,
     tokens_required: Tuple[str, ...] = (),
     tokens_ignored: Tuple[str, ...] = (),
@@ -167,28 +154,15 @@ def news_pipeline(
 
     ds = ds.map_batches(headlines_batch, batch_format="pyarrow", batch_size=batch_size)
     ds = dedup_headlines(ds)
-    # task form by default — stage construction is free (lexicons are module
-    # data), same policy as ingest_webtext; pass enrich_concurrency to pin
-    # an actor pool for genuinely expensive state
-    if enrich_concurrency is None:
-        return ds.map_batches(
-            _news_enrich_task,
-            fn_kwargs=dict(
-                min_tokens=min_tokens,
-                tokens_required=tokens_required,
-                tokens_ignored=tokens_ignored,
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+    # task form, same policy as ingest_webtext: stage construction is free
+    # (lexicons are module data)
     return ds.map_batches(
-        NewsEnrichStage,
-        fn_constructor_kwargs=dict(
+        _news_enrich_task,
+        fn_kwargs=dict(
             min_tokens=min_tokens,
             tokens_required=tokens_required,
             tokens_ignored=tokens_ignored,
         ),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=enrich_concurrency,
     )

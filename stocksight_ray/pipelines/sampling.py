@@ -23,6 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..geometry import bucket_groups
+
 
 def mod_sample(ds, id_col: str, num: int, den: int):
     """Keep rows with id_col % den < num (deterministic num/den fraction)."""
@@ -53,19 +55,13 @@ def stratified_head(ds, strata: str, n: int, order_cols: Sequence[str]):
     deterministic (order_cols) order.  One bucketed groupby on a hash of
     the strata key; the per-bucket cap is one vectorized pandas
     groupby.head over every stratum in the bucket."""
-    from .joins import _key_bucketizer
-
     cols = list(order_cols)
 
     def head(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([strata] + cols, kind="stable")
-        return g.groupby(strata, sort=False).head(n).drop(columns=["_kb"])
+        return g.groupby(strata, sort=False).head(n)
 
-    return (
-        ds.map_batches(_key_bucketizer(strata, 64), batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(head, batch_format="pandas")
-    )
+    return bucket_groups(strata, head, ds)
 
 
 def mix_sources(ds, rates: dict, *, source_col: str = "source",

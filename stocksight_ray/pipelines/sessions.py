@@ -3,8 +3,8 @@ inactivity gaps (the standard windowed log/clickstream operator; the
 reference's Kibana dashboards bucket by fixed time only, this is the
 gap-window generalization).
 
-Shape: ONE bucketed groupby on a hash of the user key (fixed bucket count,
-vectorized pandas inside — no per-user task), sort within bucket by
+Shape: ONE ``bucket_groups`` shuffle on the user key (vectorized pandas
+per bucket — no per-user task), sort within bucket by
 (user, ts, id), vectorized gap detection via diff/cumsum.  Assumes one
 user's events fit a task (same contract as the other per-key windowed ops;
 salt upstream if a single user's history is huge).
@@ -12,12 +12,13 @@ salt upstream if a single user's history is huge).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
-NUM_BUCKETS = 256
+from ..geometry import bucket_groups
 
 
 def sessionize(
@@ -27,7 +28,7 @@ def sessionize(
     ts_col: str = "ts",
     id_col: str = "event_id",
     gap_sec: int = 1800,
-    num_buckets: int = NUM_BUCKETS,
+    num_buckets: Optional[int] = None,
 ):
     """Events -> one row per session:
     (user_col, session_id, n_events, session_start, session_end).
@@ -37,12 +38,6 @@ def sessionize(
     ``gap_sec`` (strictly greater, matching SQL ``ts - lag(ts) > interval``).
     Ties on ts break by ``id_col`` so the split is deterministic.
     """
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        b = pc.cast(
-            pc.bit_wise_and(batch[user_col], num_buckets - 1), pa.int32()
-        )
-        return batch.select([user_col, ts_col, id_col]).append_column("_b", b)
 
     def sessions(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values([user_col, ts_col, id_col], kind="stable")
@@ -76,10 +71,9 @@ def sessionize(
             ),
         })
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(sessions, batch_format="pandas")
+    return bucket_groups(
+        user_col, sessions, ds.select_columns([user_col, ts_col, id_col]),
+        num_buckets=num_buckets,
     )
 
 

@@ -4,8 +4,8 @@ The reference polls Yahoo Finance and, per poll, takes the LAST non-null
 close/high/low/volume from the returned arrays ([-1] else [-2] else [-3]
 fallback, /root/reference/stockprice.py:57-85) and computes ``change`` as
 the pct diff of the last two closes.  Re-expressed over a bounded
-time-series table: per-key ordered ``map_groups`` — the shuffle key is the
-symbol/user key, group processing is vectorized pandas.
+time-series table: per-key ordered reductions, one ``bucket_groups`` shuffle
+on the symbol/user key with vectorized pandas per bucket.
 
 Also ships a deterministic synthetic ``prices`` table (FIXTURES.md §4) with
 injected nulls to exercise the fallback.
@@ -20,6 +20,8 @@ from typing import List, Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..geometry import bucket_groups
 
 
 def latest_nonnull(ds, key: str, ts: str, value_cols: Sequence[str]):
@@ -37,15 +39,9 @@ def latest_nonnull(ds, key: str, ts: str, value_cols: Sequence[str]):
         out = gb[ts].last().rename(f"last_{ts}").to_frame()
         for c in cols:
             out[f"last_{c}"] = gb[c].last()  # pandas last() skips NaN
-        return out.reset_index().drop(columns=["_kb"], errors="ignore")
+        return out.reset_index()
 
-    from .joins import _key_bucketizer
-
-    return (
-        ds.map_batches(_key_bucketizer(key, 256), batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(pick, batch_format="pandas")
-    )
+    return bucket_groups(key, pick, ds)
 
 
 def pct_change_last(ds, key: str, ts: str, col: str):
@@ -72,13 +68,7 @@ def pct_change_last(ds, key: str, ts: str, col: str):
         )
         return pd.DataFrame({key: all_keys.to_numpy(), "change": change})
 
-    from .joins import _key_bucketizer
-
-    return (
-        ds.map_batches(_key_bucketizer(key, 256), batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(chg, batch_format="pandas")
-    )
+    return bucket_groups(key, chg, ds)
 
 
 def ohlc_bucket(ds, key: str, ts: str, price_col: str, interval_sec: int = 7200,
@@ -119,13 +109,8 @@ def ohlc_bucket(ds, key: str, ts: str, price_col: str, interval_sec: int = 7200,
             [key, "bucket", "open", "high", "low", "close", "n"]
         ]
 
-    from .joins import _key_bucketizer
-
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .map_batches(_key_bucketizer(key, 256), batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(ohlc, batch_format="pandas")
+    return bucket_groups(
+        key, ohlc, ds.map_batches(bucketize, batch_format="pyarrow")
     )
 
 

@@ -27,7 +27,7 @@ METHODS = ["exhaustive", "wand"]
 @pytest.fixture(scope="module")
 def corpus(ray_session, webtext_table):
     ds = ingest_webtext(
-        rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128
+        rd.from_arrow(webtext_table), batch_size=128
     )
     return (
         ds.filter(expr="admitted")

@@ -95,7 +95,7 @@ def test_build_query_roundtrip_file_uri(ray_session, webtext_table, tmp_path):
 
     docs = (
         ingest_webtext(
-            rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128
+            rd.from_arrow(webtext_table), batch_size=128
         )
         .drop_columns(["tokens"])
         .materialize()

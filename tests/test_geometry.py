@@ -6,6 +6,8 @@ change answers, only shuffle shape."""
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stocksight_ray.geometry import auto_buckets
 
@@ -36,7 +38,7 @@ def test_string_bucket_kernel_speedup():
 
     import numpy as np
 
-    from stocksight_ray.pipelines.joins import _string_bucket
+    from stocksight_ray.geometry import _string_bucket
 
     n = 200_000
     keys = pa.array([f"https://example-{i % 9973}.com/path/{i}" for i in range(n)])
@@ -60,6 +62,81 @@ def test_string_bucket_kernel_speedup():
     assert t_row / t_vec >= 5, f"vectorized only {t_row / t_vec:.1f}x faster"
     # and the kernel is deterministic across calls
     assert _string_bucket(keys, 256).equals(_string_bucket(keys, 256))
+
+
+def _blocks(table: pa.Table, n_blocks: int):
+    """A Dataset of ``table`` split into ``n_blocks`` blocks (some may be
+    empty)."""
+    import ray.data as rd
+
+    cuts = sorted({0, table.num_rows} | {
+        table.num_rows * i // n_blocks for i in range(1, n_blocks)
+    })
+    return rd.from_arrow(
+        [table.slice(a, b - a) for a, b in zip(cuts, cuts[1:])] or [table]
+    )
+
+
+@st.composite
+def _join_case(draw):
+    """Random left/right tables sharing a key column ``k`` that is int64
+    (negatives included) or string, with nulls and duplicates; the right
+    side is sometimes empty.  Payload columns are nullable int64 and string
+    — the types a pandas round trip through a null-padded union used to
+    break."""
+    is_int = draw(st.booleans())
+    pool = (st.integers(-6, 6) if is_int
+            else st.sampled_from(["a", "b", "cc", "", "ü"]))
+    key_type = pa.int64() if is_int else pa.string()
+
+    def side(min_size, payload, payload_type):
+        n = draw(st.integers(min_size, 12))
+        keys = draw(st.lists(st.one_of(st.none(), pool), min_size=n, max_size=n))
+        vals = draw(st.lists(st.one_of(st.none(), payload), min_size=n,
+                             max_size=n))
+        return pa.table({
+            "k": pa.array(keys, key_type),
+            payload_type[0]: pa.array(vals, payload_type[1]),
+        })
+
+    left = side(1, st.integers(-2**62, 2**62), ("lv", pa.int64()))
+    right = side(0, st.text(max_size=3), ("rv", pa.string()))
+    return (left, right, draw(st.integers(1, 7)), draw(st.integers(1, 7)),
+            draw(st.sampled_from([2, 64])))
+
+
+def _rows(rows):
+    """Order-free row multiset of a pa.Table or a Dataset."""
+    rows = rows.to_pylist() if isinstance(rows, pa.Table) else rows.take_all()
+    return sorted(map(repr, rows))
+
+
+@given(case=_join_case())
+@settings(max_examples=12, deadline=None)
+def test_bucket_groups_matches_arrow(ray_session, case):
+    """``bucket_groups`` must hand every key of every input to one kernel
+    call with exact column types: a per-bucket Arrow join equals one
+    whole-table ``Table.join``, and a one-input per-key count equals
+    ``Table.group_by().aggregate`` — for any block split and bucket count."""
+    from stocksight_ray.geometry import bucket_groups
+
+    left, right, lblocks, rblocks, nb = case
+    joined = bucket_groups(
+        "k", lambda l, r: l.join(r, "k", join_type="left outer"),
+        _blocks(left, lblocks), _blocks(right, rblocks),
+        batch_format="pyarrow", num_buckets=nb,
+    ).materialize()
+    exp = left.join(right, "k", join_type="left outer")
+    assert joined.schema().base_schema == exp.schema
+    assert _rows(joined) == _rows(exp)
+
+    counts = bucket_groups(
+        "k", lambda t: t.group_by("k").aggregate([([], "count_all")]),
+        _blocks(left, lblocks), batch_format="pyarrow", num_buckets=nb,
+    ).materialize()
+    exp = left.group_by("k").aggregate([([], "count_all")])
+    assert counts.schema().base_schema == exp.schema
+    assert _rows(counts) == _rows(exp)
 
 
 def _corpus():
@@ -184,7 +261,7 @@ def test_grouped_shard_build_matches_ungrouped(ray_session, webtext_table, tmp_p
 
     docs = (
         ingest_webtext(
-            rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128
+            rd.from_arrow(webtext_table), batch_size=128
         )
         .drop_columns(["tokens"])
         .materialize()
@@ -226,7 +303,7 @@ def test_grouped_build_resume_skips_committed(ray_session, webtext_table, tmp_pa
 
     docs = (
         ingest_webtext(
-            rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128
+            rd.from_arrow(webtext_table), batch_size=128
         )
         .drop_columns(["tokens"])
         .materialize()

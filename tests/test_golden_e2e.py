@@ -27,7 +27,7 @@ def golden_docs(ray_session, golden):
 
     corpus = generate_table(golden["n_pages"], seed=golden["seed"])
     return (
-        ingest_webtext(rd.from_arrow(corpus), enrich_concurrency=2, batch_size=128)
+        ingest_webtext(rd.from_arrow(corpus), batch_size=128)
         .drop_columns(["tokens"])
         .materialize()
     )

@@ -31,7 +31,7 @@ QUERIES = [
 @pytest.fixture(scope="module")
 def built(ray_session, webtext_table, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("idx"))
-    ds = ingest_webtext(rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128)
+    ds = ingest_webtext(rd.from_arrow(webtext_table), batch_size=128)
     admitted = ds.filter(expr="admitted")
     docs = admitted.select_columns(["doc_id", "text_clean"])
     manifest = build_index(
@@ -83,7 +83,6 @@ def test_partition_count_invariance(ray_session, webtext_table, tmp_path):
     produce identical results (shuffle-invariance)."""
     ds = ingest_webtext(
         rd.from_arrow(webtext_table).repartition(7),
-        enrich_concurrency=2,
         batch_size=64,
     )
     docs = ds.filter(expr="admitted").select_columns(["doc_id", "text_clean"])
@@ -107,9 +106,9 @@ def test_partition_count_invariance(ray_session, webtext_table, tmp_path):
 
 
 def test_doc_ids_deterministic_across_partitioning(ray_session, webtext_table):
-    a = ingest_webtext(rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128)
+    a = ingest_webtext(rd.from_arrow(webtext_table), batch_size=128)
     b = ingest_webtext(
-        rd.from_arrow(webtext_table).repartition(13), enrich_concurrency=2, batch_size=31
+        rd.from_arrow(webtext_table).repartition(13), batch_size=31
     )
     ta = sorted((r["url"], r["doc_id"]) for r in a.select_columns(["url", "doc_id"]).take_all())
     tb = sorted((r["url"], r["doc_id"]) for r in b.select_columns(["url", "doc_id"]).take_all())

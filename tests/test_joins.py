@@ -145,7 +145,7 @@ def test_url_extract_and_lang_filter(ray_session, webtext_table):
         assert list(r["urls"]) == pat.findall(r["text"] or "")
 
     only_en = ingest_webtext(
-        rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128,
+        rd.from_arrow(webtext_table), batch_size=128,
         langs=("en",),
     ).to_pandas()
     assert set(only_en["lang"]) == {"en"}
@@ -307,7 +307,7 @@ def test_ingest_without_lang_column(ray_session, webtext_table):
     from stocksight_ray.pipelines.ingest import ingest_webtext
 
     no_lang = webtext_table.select(["url", "warc_ts", "html"])
-    out = ingest_webtext(rd.from_arrow(no_lang), enrich_concurrency=2, batch_size=128)
+    out = ingest_webtext(rd.from_arrow(no_lang), batch_size=128)
     assert out.count() > 0
     with pytest.raises(ValueError):
         ingest_webtext(rd.from_arrow(no_lang), langs=("en",)).count()

@@ -12,7 +12,7 @@ def test_news_pipeline(ray_session, webtext_table):
     from stocksight_ray.functions.sentiment import sentiment_analysis
     from stocksight_ray.pipelines.news import news_pipeline
 
-    out = news_pipeline(rd.from_arrow(webtext_table), enrich_concurrency=2).to_pandas()
+    out = news_pipeline(rd.from_arrow(webtext_table)).to_pandas()
     assert set(out.columns) == {
         "location", "date", "message", "admitted", "polarity", "subjectivity", "sentiment",
     }
@@ -46,7 +46,7 @@ def built_index(ray_session, webtext_table, tmp_path_factory):
     from stocksight_ray.pipelines.ingest import ingest_webtext
 
     docs = (
-        ingest_webtext(rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128)
+        ingest_webtext(rd.from_arrow(webtext_table), batch_size=128)
         .drop_columns(["tokens"])
         .materialize()
     )
@@ -108,7 +108,7 @@ def test_sharded_query_service(ray_session, webtext_table, tmp_path):
     from stocksight_ray.pipelines.ingest import ingest_webtext
 
     docs = (
-        ingest_webtext(rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128)
+        ingest_webtext(rd.from_arrow(webtext_table), batch_size=128)
         .drop_columns(["tokens"])
         .materialize()
     )
@@ -135,7 +135,7 @@ def test_sharded_service_k_guard(ray_session, webtext_table, tmp_path):
     from stocksight_ray.pipelines.ingest import ingest_webtext
 
     docs = (
-        ingest_webtext(rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128)
+        ingest_webtext(rd.from_arrow(webtext_table), batch_size=128)
         .drop_columns(["tokens"]).materialize()
     )
     out = str(tmp_path / "kguard")

@@ -62,6 +62,17 @@ def test_parse_errors():
             parse(bad)
 
 
+@pytest.mark.parametrize("query", [
+    "te?m", "market~2", "market^2", '"stock market"~2',
+    "[a TO b]", "{a TO b}", "a && b", "a || b",
+])
+def test_parse_unsupported_lucene_syntax_raises(query):
+    # each of these used to parse into terms that analyze to something else
+    # (``market~2`` -> market OR 2, ``a && b`` -> a OR b) and match silently
+    with pytest.raises(ValueError):
+        parse(query)
+
+
 # ---------------------------------------------------------------------------
 # execution equivalence on a small index
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ def docs_ds(ray_session, webtext_table):
 
     from stocksight_ray.pipelines.ingest import ingest_webtext
 
-    ds = ingest_webtext(rd.from_arrow(webtext_table), enrich_concurrency=2, batch_size=128)
+    ds = ingest_webtext(rd.from_arrow(webtext_table), batch_size=128)
     return ds.drop_columns(["tokens"]).materialize()
 
 

@@ -467,7 +467,7 @@ def test_ingest_lineage(ray_session, tmp_path):
     out = str(tmp_path / "ingest_out")
     docs = ingest_webtext(
         rd.from_arrow(generate_table(300, seed=42)), out_dir=out,
-        enrich_concurrency=2, batch_size=128,
+        batch_size=128,
     )
     lin = json.load(open(f"{out}/ingest_lineage.json"))
     assert lin["n_input_rows"] == 300
