@@ -149,9 +149,20 @@ def varbyte_decode(buf: bytes, offset: int = 0, length: int = -1) -> np.ndarray:
 def tf_norm(tfs: np.ndarray, dls: np.ndarray, avgdl: float, k1: float = K1, b: float = B) -> np.ndarray:
     """BM25 term-frequency component incl. the (k1+1) numerator:
     tf*(k1+1) / (tf + k1*(1-b+b*dl/avgdl)).  Used for scores and block-max."""
+    return saturate(tfs, length_norm(dls, avgdl, k1, b), k1)
+
+
+def length_norm(dls: np.ndarray, avgdl: float, k1: float = K1, b: float = B) -> np.ndarray:
+    """k1*(1-b+b*dl/avgdl), the per-doc part of tf_norm's denominator — a
+    serving engine computes it once per doc."""
+    return k1 * (1.0 - b + b * dls.astype(np.float64) / avgdl)
+
+
+def saturate(tfs: np.ndarray, norms: np.ndarray, k1: float = K1) -> np.ndarray:
+    """tf*(k1+1) / (tf + norm) for ``length_norm`` values ``norms``:
+    float-identical to ``tf_norm`` over the same docs."""
     tfs = tfs.astype(np.float64)
-    denom = tfs + k1 * (1.0 - b + b * dls.astype(np.float64) / avgdl)
-    return tfs * (k1 + 1.0) / denom
+    return tfs * (k1 + 1.0) / (tfs + norms)
 
 
 # Block metadata layout: structured array persisted as raw bytes.

@@ -17,11 +17,10 @@ build.py/segments.py:
 * The query engine (query.QueryEngine, over the whole index or one shard's
   id range) loads the tombstone set at init — O(deletes) memory, the same
   contract as Lucene's live-docs — and filters every scorer path exactly
-  (OR/AND/phrase/sorted, both OR scorers).  **BM25 stats (N, avgdl, df)
+  (OR/AND/phrase/sorted).  **BM25 stats (N, avgdl, df)
   intentionally stay stale until compaction**, matching Lucene: deleted
   docs still count toward idf, so surviving docs keep their pre-delete
-  scores (rank-identical across the exhaustive / block-max paths and
-  across shard serving).
+  scores (rank-identical across whole-index and shard serving).
 * ``compact(out_dir)`` purges tombstoned postings physically: one Ray task
   per (shard, partition-file) decodes, filters, re-encodes (codec round
   trip), norms are filtered per shard, lineage doc counts updated, and

@@ -33,8 +33,8 @@ Semantics (ES bool query):
 * ties break by doc_id ascending, matching every other scorer here.
 
 Scoring parity: clause contributions fold left-to-right in query order —
-``parse+execute("a b")`` is float-identical to ``engine.search("a b",
-method="exhaustive")`` and ``"a AND b"`` to ``engine.search_and``.
+``parse+execute("a b")`` is float-identical to ``engine.search("a b")``
+and ``"a AND b"`` to ``engine.search_and``.
 """
 
 from __future__ import annotations

@@ -8,18 +8,45 @@ Replaces the ES/Lucene query side the reference reaches through Kibana
     tf_norm    = tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl))
     score(d,q) = Σ_t idf(t) · tf_norm(t, d)
 
-Two scorers, required to agree exactly (same per-doc float summation
-order — query-term order — so even exact score ties match):
-  * ``search(..., method="exhaustive")`` — term-at-a-time accumulation into a
-    dense score array (obviously correct; the oracle baseline);
-  * ``search(..., method="wand")``       — windowed Block-Max scorer (the
-    default): the docid space is swept in fixed windows; a window is
-    skipped without decoding when the sum of per-term block-max upper
-    bounds cannot beat the running top-k threshold; surviving windows are
-    scored with vectorized numpy over the decoded postings.
+One OR scorer, term-at-a-time (``_accumulate`` → ``_or_arrays`` →
+``_top_k``): each query term's ``idf · tf_norm`` is added, in query-term
+order, into a dense float64 accumulator over the norm slots of the posted
+doc-id range (smallest first doc … largest last doc of the query's
+postings); tombstoned slots are zeroed.  Past 4,096 postings the k-th
+largest score of a strided sample of the accumulator is a lower bound on
+the k-th best score, and only docs at or above it are taken out.  With
+more than 4k candidates ``_top_k`` keeps every score >= the k-th largest
+(an ``np.partition`` cut, so every tie at the k-th place survives) and
+``np.lexsort((docs, -scores))`` orders only the survivors.  The per-doc
+sums fold in query-term order, the order tests/oracle.py uses, so scores
+and exact ties are reproducible bit for bit.
 
 Ties broken by doc_id ascending (explicit, so rank-identity is well-defined).
 Duplicate query terms are deduplicated (one contribution per distinct term).
+
+A windowed block-max scorer (skip 16k-doc windows whose summed per-block
+upper bounds cannot beat the running k-th score) and a dense scorer that
+lexsorted every match were both replaced by this one: block-max's
+per-window Python loop costs more than the windows it skips, and the full
+sort was what made the dense pass slow on head terms.  p50/p90 ms per df
+class (150 queries of 1-3 terms per class: top 1%, next 9%, rest of the
+terms by df), k=10, warm whole-index engines, generated corpora, 8
+partitions, 1 vCPU:
+
+    | docs | class | block-max   | dense, full sort | this scorer |
+    |------|-------|-------------|------------------|-------------|
+    | 20k  | head  | 0.430/0.643 | 0.627/1.442      | 0.170/0.291 |
+    | 20k  | mid   | 0.246/0.352 | 0.121/0.226      | 0.095/0.150 |
+    | 20k  | tail  | 0.202/0.269 | 0.061/0.082      | 0.064/0.082 |
+    | 200k | head  | 2.890/4.672 | 7.929/20.18      | 2.170/4.534 |
+    | 200k | mid   | 1.382/2.083 | 1.359/2.832      | 0.417/0.647 |
+    | 200k | tail  | 1.067/1.574 | 0.262/0.420      | 0.265/0.388 |
+
+Planning block-max windows vectorized (``np.maximum.at`` bounds per
+window, windows in descending bound order) was no faster than block-max
+at 20k docs.  ``codec.block_upper_bounds`` stays part of the postings
+format.  ``scripts/scorer_classes.py`` prints the per-class latencies of
+an index.
 
 One engine serves either the whole index (``QueryEngine(index_dir)``) or one
 committed segment of a segmented index (``QueryEngine(index_dir, shard=s)``,
@@ -27,10 +54,8 @@ index/segments.py): a shard engine reads the shard's postings, norms and
 tombstones, and replaces each term's df with the GLOBAL df, so its scores
 equal the global engine's and the per-shard top-k lists of
 ``serve.ShardedQueryService`` merge into exactly the global top-k (the
-coordinating-node merge of an ES search).  Shard actors score OR queries
-exhaustively: over a shard-sized accumulator the dense path beats block-max
-once postings are warm (p50 summed over 3 shards at 22.7k docs: 0.40 ms
-exhaustive vs 0.77 ms block-max, 1 vCPU).
+coordinating-node merge of an ES search).  A shard's accumulator spans
+only its own norm ids.
 
 The engine is a library object (loadable inside query-serving actors); it
 memory-maps nothing mutable — index partitions are immutable parquet files
@@ -49,6 +74,27 @@ from . import codec
 from .build import term_partition
 from .deletes import live_mask
 from .docstore import DocStore
+
+
+_NO_HITS = (np.empty(0, np.int64), np.empty(0, np.float64))
+_SAMPLE = 4096  # accumulator slots sampled for the top-k lower bound
+
+
+def _top_k(docs: np.ndarray, scores: np.ndarray,
+           k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The k best (docs, scores) by (score desc, doc_id asc).  Past 4k
+    candidates a partition cut first keeps every score >= the k-th largest
+    (ties included), so only the survivors are sorted."""
+    if scores.size > 4 * k:
+        kth = np.partition(scores, scores.size - k)[scores.size - k]
+        keep = scores >= kth
+        docs, scores = docs[keep], scores[keep]
+    order = np.lexsort((docs, -scores))[:k]
+    return docs[order], scores[order]
+
+
+def _pairs(docs: np.ndarray, scores: np.ndarray) -> List[Tuple[int, float]]:
+    return list(zip(docs.tolist(), scores.tolist()))
 
 
 class _TermPostings:
@@ -179,6 +225,9 @@ class QueryEngine:
             and self._norm_ids[0] == 0
             and self._norm_ids[-1] == self._norm_ids.size - 1
         )
+        # tf_norm's per-doc length term, once per doc (codec.length_norm)
+        self._length_norms = codec.length_norm(
+            self._norm_lens, self.avgdl, self.k1, self.b)
         # docs-table columns for phrase verification and field filters,
         # limited to the indexed ids (index/docstore.py)
         self.docstore = DocStore(self._norm_ids)
@@ -291,153 +340,74 @@ class QueryEngine:
         return out
 
     # ------------------------------------------------------------------
-    def search(
-        self, query: str, k: int = 10, method: str = "wand"
-    ) -> List[Tuple[int, float]]:
-        """Top-k [(doc_id, score)] for an OR (match) query, scored with
-        ``method`` "wand" (block-max, the default) or "exhaustive"; both
-        are exactly rank- and score-identical.  Any other method raises
-        ``ValueError``."""
-        if method not in ("wand", "exhaustive"):
-            raise ValueError(
-                f"method must be 'wand' or 'exhaustive', got {method!r}")
+    def search(self, query: str, k: int = 10) -> List[Tuple[int, float]]:
+        """Top-k [(doc_id, score)] for an OR (match) query, by (score desc,
+        doc_id asc)."""
         if k <= 0:
             return []
-        terms = self.analyze_query(query)
-        posts = [(t, self.lookup(t)) for t in terms]
-        posts = [(t, p) for t, p in posts if p is not None]
-        if not posts:
-            return []
-        if method == "exhaustive":
-            return self._search_exhaustive(posts, k)
-        return self._search_bmw(posts, k)
+        return _pairs(*_top_k(*self._or_arrays(self.analyze_query(query), k), k))
 
     def _positions(self, docids: np.ndarray) -> np.ndarray:
-        """Map docids → dense accumulator slots (identity when ids are dense;
+        """Map docids → norm slots (identity when ids are dense;
         at 10^12 docs a serving actor holds one salt-range shard, so the
         accumulator is shard-sized, not corpus-sized)."""
         if self._dense:
             return docids
         return np.searchsorted(self._norm_ids, docids)
 
-    def _search_exhaustive(self, posts, k: int) -> List[Tuple[int, float]]:
-        acc = np.zeros(self._norm_ids.size, dtype=np.float64)
-        touched = np.zeros(self._norm_ids.size, dtype=bool)
-        for term, p in posts:  # term-at-a-time: per-doc sum in query-term order
-            w = self.idf(p.df)
+    def _or_arrays(self, terms: List[str],
+                   k: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """(doc_ids ascending, scores) of every live doc matching any of
+        ``terms`` — the OR scoring kernel (see the module docstring).  With
+        ``k`` and more than ``_SAMPLE`` postings, only the docs scoring at
+        least the k-th largest score of a strided sample of the accumulator
+        (at most ``_SAMPLE`` slots): a superset of the top k and of every
+        tie at its k-th place."""
+        base, acc, n_postings = self._accumulate(terms)
+        theta = 0.0
+        if k is not None and n_postings > _SAMPLE:
+            sample = acc[::max(1, acc.size // _SAMPLE)]
+            if sample.size > k:
+                theta = np.partition(sample, sample.size - k)[sample.size - k]
+        # a match scores > 0 (idf > 0 as df <= N; tf >= 1), so the
+        # zero slots are the docs that match no term, or are tombstoned
+        slots = np.flatnonzero(acc >= theta if theta > 0 else acc > 0)
+        scores = acc[slots]
+        slots += base
+        return (slots if self._dense else self._norm_ids[slots]), scores
+
+    def _accumulate(self, terms: List[str]) -> Tuple[int, np.ndarray, int]:
+        """(first slot, dense float64 scores over the norm slots of the
+        posted doc-id range, postings read): each term's ``idf · tf_norm``
+        added term at a time in query-term order; tombstoned slots are
+        zeroed."""
+        posts = [p for p in map(self.lookup, terms) if p is not None]
+        if not posts:
+            return 0, np.zeros(0), 0
+        lo = min(int(p.meta["first"][0]) for p in posts)
+        hi = max(int(p.meta["last"][-1]) for p in posts)
+        if self._dense:
+            base, end = lo, hi + 1
+        else:
+            base = int(np.searchsorted(self._norm_ids, lo))
+            end = int(np.searchsorted(self._norm_ids, hi, side="right"))
+        acc = np.zeros(end - base, dtype=np.float64)
+        for i, p in enumerate(posts):
             docids, tfs = p.full()
-            dls = self.doc_lens(docids)
             pos = self._positions(docids)
-            acc[pos] += w * codec.tf_norm(tfs, dls, self.avgdl, self.k1, self.b)
-            touched[pos] = True
-        idx = np.flatnonzero(touched)
-        scores = acc[idx]
-        docs = idx if self._dense else self._norm_ids[idx]
+            contrib = self.idf(p.df) * codec.saturate(
+                tfs, self._length_norms[pos], self.k1)
+            if i == 0:  # 0.0 + x == x: the first term is a plain store
+                acc[pos - base] = contrib
+            else:
+                acc[pos - base] += contrib
         if self._deleted.size:
-            m = self._live(docs)
-            docs, scores = docs[m], scores[m]
-        order = np.lexsort((docs, -scores))[:k]  # (-score, doc_id)
-        return [(int(docs[i]), float(scores[i])) for i in order]
-
-    # ------------------------------------------------------------------
-    def _search_bmw(self, posts, k: int) -> List[Tuple[int, float]]:
-        """Windowed block-max scorer (see module docstring)."""
-        terms = []
-        max_doc = 0
-        for qi, (_, p) in enumerate(posts):
-            w = self.idf(p.df)
-            ub = w * codec.block_upper_bounds(p.meta, self.avgdl, self.k1, self.b)
-            terms.append((qi, w, p, ub))
-            max_doc = max(max_doc, int(p.meta["last"][-1]))
-
-        W = 1 << 14  # window width in docid space
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        theta = -np.inf
-
-        # Sweep only OCCUPIED windows: start at the smallest posted docid and
-        # after each window jump to the next docid any term posts — cost is
-        # O(occupied windows), not O(docid range), so sparse/offset id spaces
-        # (salt-range shards at 10^12 ids) don't pay for empty ranges.
-        min_doc = min(int(t[2].meta["first"][0]) for t in terms)
-        nxt = (min_doc // W) * W
-        while nxt <= max_doc:
-            a = nxt
-            b_end = a + W
-            overlaps = []
-            ub_sum = 0.0
-            next_doc = None  # smallest posted docid >= b_end (for the jump)
-            for qi, w, p, ub in terms:
-                lo = int(np.searchsorted(p.meta["last"], a, side="left"))
-                hi = int(np.searchsorted(p.meta["first"], b_end, side="left"))
-                if hi > lo:
-                    ub_sum += float(ub[lo:hi].max())
-                    overlaps.append((qi, w, p, lo, hi))
-                # candidate next occupied docid for this term: the first block
-                # whose last >= b_end starts at max(first, b_end)
-                nb = int(np.searchsorted(p.meta["last"], b_end, side="left"))
-                if nb < p.meta.size:
-                    cand = max(int(p.meta[nb]["first"]), b_end)
-                    next_doc = cand if next_doc is None else min(next_doc, cand)
-            nxt = max_doc + 1 if next_doc is None else (next_doc // W) * W
-            if not overlaps:
-                continue
-            # Skip the whole window (no decode) when even the sum of block-max
-            # upper bounds cannot beat the running threshold. Strict '<' keeps
-            # tie-by-doc_id semantics exact.
-            if top_scores.size >= k and ub_sum < theta:
-                continue
-
-            acc = np.zeros(W, dtype=np.float64)
-            touched = np.zeros(W, dtype=bool)
-            for qi, w, p, lo, hi in overlaps:  # qi order == term order
-                docids, tfs = p.full()
-                s = int(np.searchsorted(docids, a, side="left"))
-                e = int(np.searchsorted(docids, b_end, side="left"))
-                if e <= s:
-                    continue
-                d_slice = docids[s:e]
-                dls = self.doc_lens(d_slice)
-                sl = d_slice - a
-                acc[sl] += w * codec.tf_norm(
-                    tfs[s:e], dls, self.avgdl, self.k1, self.b
-                )
-                touched[sl] = True
-            idx = np.flatnonzero(touched)
-            if idx.size == 0:
-                continue
-            scores = acc[idx]
-            docs = idx + a
-            if self._deleted.size:
-                # mask BEFORE theta pruning/merge — ub-based window skips
-                # above remain safe (bounds only overestimate; removing
-                # docs can never raise a window's best score)
-                m = self._live(docs)
-                scores, docs = scores[m], docs[m]
-                if scores.size == 0:
-                    continue
-            # prune before sorting: only candidates that can enter the top-k
-            # (>= keeps score ties so doc_id tie-break stays exact)
-            if top_scores.size >= k:
-                m = scores >= theta
-                scores, docs = scores[m], docs[m]
-                if scores.size == 0:
-                    continue
-            if scores.size > 4 * k:
-                # kth-largest value cut (keeps all equal values → exact ties)
-                thresh = np.partition(scores, scores.size - k)[scores.size - k]
-                m = scores >= thresh
-                scores, docs = scores[m], docs[m]
-            # merge window candidates into the running top-k
-            all_scores = np.concatenate([top_scores, scores])
-            all_docs = np.concatenate([top_docs, docs])
-            order = np.lexsort((all_docs, -all_scores))[:k]
-            top_scores = all_scores[order]
-            top_docs = all_docs[order]
-            if top_scores.size >= k:
-                theta = float(top_scores[-1])
-
-        return [(int(d), float(s)) for d, s in zip(top_docs, top_scores)]
+            dead = self._deleted[
+                np.searchsorted(self._deleted, lo):
+                np.searchsorted(self._deleted, hi, side="right")]
+            pos = self._positions(dead)
+            acc[pos[self._norm_ids[pos] == dead] - base] = 0.0
+        return base, acc, sum(p.df for p in posts)
 
     # ------------------------------------------------------------------
     def search_and(self, query: str, k: int = 10) -> List[Tuple[int, float]]:
@@ -454,9 +424,14 @@ class QueryEngine:
         stopword (e.g. 'willing' → 'will') would vanish on re-analysis."""
         if k <= 0:
             return []
+        return _pairs(*_top_k(*self._and_arrays(terms), k))
+
+    def _and_arrays(self, terms: List[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """(doc_ids ascending, scores) of every live doc containing every
+        one of ``terms``."""
         posts = [(t, self.lookup(t)) for t in terms]
         if not posts or any(p is None for _, p in posts):
-            return []  # a missing term empties the conjunction
+            return _NO_HITS  # a missing term empties the conjunction
         posts_sorted = sorted(posts, key=lambda tp: tp[1].df)
         cand: Optional[np.ndarray] = None
         decoded = {}
@@ -465,11 +440,9 @@ class QueryEngine:
             decoded[t] = (ids, tfs)
             cand = ids if cand is None else cand[np.isin(cand, ids, assume_unique=True)]
             if cand.size == 0:
-                return []
+                return _NO_HITS
         if self._deleted.size:
             cand = cand[self._live(cand)]
-            if cand.size == 0:
-                return []
         # score candidates in query-term order (same float order as OR path)
         scores = np.zeros(cand.size, dtype=np.float64)
         dls = self.doc_lens(cand)
@@ -479,8 +452,15 @@ class QueryEngine:
             scores += self.idf(p.df) * codec.tf_norm(
                 tfs[pos], dls, self.avgdl, self.k1, self.b
             )
-        order = np.lexsort((cand, -scores))[:k]
-        return [(int(cand[i]), float(scores[i])) for i in order]
+        return cand, scores
+
+    def _match(self, query: str, mode: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(doc_ids ascending, scores) of every live doc matching ``query``
+        as an OR (``mode="or"``) or AND (``mode="and"``); any other mode
+        raises ``ValueError``."""
+        check_mode(mode)
+        terms = self.analyze_query(query)
+        return self._and_arrays(terms) if mode == "and" else self._or_arrays(terms)
 
     def search_phrase(
         self, query: str, k: int = 10, docs_path: Optional[str] = None,
@@ -511,15 +491,10 @@ class QueryEngine:
         docs_path = docs_path or self.manifest.get("docs_path")
         if docs_path is None:
             raise ValueError("search_sorted needs docs_path (or manifest docs_path)")
-        if mode == "and":
-            cand = self.search_and(query, k=1 << 30)
-        else:
-            cand = self.search(query, k=1 << 30, method="exhaustive")
-        if not cand:
+        docs, _ = self._match(query, mode)
+        if not docs.size:
             return []
-        ids, vals = self.docstore.take(
-            docs_path, sort_col, np.array([d for d, _ in cand], dtype=np.int64)
-        )
+        ids, vals = self.docstore.take(docs_path, sort_col, docs)
         rows = [
             (d, v)
             for d, v in zip(ids.tolist(), vals.to_pylist())
@@ -553,19 +528,13 @@ class QueryEngine:
         docs_path = docs_path or self.manifest.get("docs_path")
         if docs_path is None:
             raise ValueError("search_filtered needs docs_path (or manifest docs_path)")
-        if mode == "and":
-            cand = self._search_and_terms(self.analyze_query(query), k=1 << 30)
-        else:
-            cand = self.search(query, k=1 << 30, method="exhaustive")
-        if not cand:
+        docs, scores = self._match(query, mode)
+        if not docs.size or k <= 0:
             return []
-        ids = np.array([d for d, _ in cand], dtype=np.int64)
-        ok = np.ones(ids.size, dtype=bool)
         for col, op, val in filters:
-            ok &= ~live_mask(self.docstore.match(docs_path, col, op, val), ids)
-        hits = [cand[i] for i in np.flatnonzero(ok)]
-        hits.sort(key=lambda ds_: (-ds_[1], ds_[0]))
-        return hits[:k]
+            keep = ~live_mask(self.docstore.match(docs_path, col, op, val), docs)
+            docs, scores = docs[keep], scores[keep]
+        return _pairs(*_top_k(docs, scores, k))
 
     def highlight(self, text: str, query: str, pre: str = "<em>", post: str = "</em>") -> str:
         """Kibana-style highlightAll: wrap every word whose ANALYZED form
@@ -609,8 +578,8 @@ class QueryEngine:
         return _md(self, query, columns=columns, docs_path=docs_path)
 
     # ------------------------------------------------------------------
-    def search_table(self, query: str, k: int = 10, method: str = "wand") -> pa.Table:
-        hits = self.search(query, k, method)
+    def search_table(self, query: str, k: int = 10) -> pa.Table:
+        hits = self.search(query, k)
         return pa.table(
             {
                 "rank": pa.array(range(1, len(hits) + 1), pa.int32()),

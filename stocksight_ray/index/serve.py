@@ -28,19 +28,17 @@ from .query import QueryEngine, check_mode
 class SearchStage:
     """map_batches actor: (query_id, query[, k]) → (query_id, rank, doc_id,
     score) rows.  Engine + partitions load once per actor.
-    ``mode="match"`` scores the row's text as a plain BM25 match (the
-    ``method`` scorer); ``mode="query_string"`` parses it with the
-    Lucene-mini grammar (index/qparse.py) — bulk offline evaluation of
-    saved searches."""
+    ``mode="match"`` scores the row's text as a plain BM25 OR match;
+    ``mode="query_string"`` parses it with the Lucene-mini grammar
+    (index/qparse.py) — bulk offline evaluation of saved searches."""
 
     def __init__(self, index_dir: str, default_k: int = 10,
-                 method: str = "wand", mode: str = "match"):
+                 mode: str = "match"):
         if mode not in ("match", "query_string"):
             raise ValueError(f"mode must be match|query_string, got {mode!r}")
         self.engine = QueryEngine(index_dir)
         self.engine.warm()
         self.default_k = default_k
-        self.method = method
         self.mode = mode
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -56,7 +54,7 @@ class SearchStage:
             hits = (
                 self.engine.search_query(q, int(k))
                 if self.mode == "query_string"
-                else self.engine.search(q, int(k), self.method)
+                else self.engine.search(q, int(k))
             )
             for rank, (d, s) in enumerate(hits, start=1):
                 qids.append(qid)
@@ -78,7 +76,6 @@ def search_dataset(
     index_dir: str,
     *,
     k: int = 10,
-    method: str = "wand",
     mode: str = "match",
     concurrency=None,
     batch_size: int = 64,
@@ -94,8 +91,7 @@ def search_dataset(
     return queries.map_batches(
         SearchStage,
         fn_constructor_kwargs={
-            "index_dir": index_dir, "default_k": k,
-            "method": method, "mode": mode,
+            "index_dir": index_dir, "default_k": k, "mode": mode,
         },
         batch_format="pyarrow",
         batch_size=batch_size,
@@ -105,18 +101,17 @@ def search_dataset(
 
 class SegmentEngine(QueryEngine):
     """The engine a shard actor runs: ``QueryEngine`` over one committed
-    segment, scoring OR queries exhaustively (see index/query.py) and
-    ``mode="and"`` with ``search_and``."""
+    segment, whose ``search`` answers ``mode="or"`` with the OR scorer
+    and ``mode="and"`` with ``search_and``."""
 
     def __init__(self, out_dir: str, shard: int):
         super().__init__(out_dir, shard=shard)
 
-    def search(self, query: str, k: int = 10, method: str = "exhaustive",
-               mode: str = "or"):
+    def search(self, query: str, k: int = 10, mode: str = "or"):
         check_mode(mode)
         if mode == "and":
             return self.search_and(query, k)
-        return super().search(query, k, method)
+        return super().search(query, k)
 
 
 class ShardedQueryService:

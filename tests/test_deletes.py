@@ -21,7 +21,6 @@ QUERIES = [
     "running traditional",
     "technology energy",
 ]
-METHODS = ["exhaustive", "wand"]
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +59,7 @@ def test_deletes_filter_every_path(ray_session, corpus, victim_ids, tmp_path):
     _build(corpus, out)
     pre = QueryEngine(out)
     pre_scores = {
-        q: dict(pre.search(q, k=1 << 20, method="exhaustive")) for q in QUERIES
+        q: dict(pre.search(q, k=1 << 20)) for q in QUERIES
     }
     info = delete_docs(out, np.array(victim_ids))
     assert info["n_new"] == len(victim_ids)
@@ -69,12 +68,10 @@ def test_deletes_filter_every_path(ray_session, corpus, victim_ids, tmp_path):
     assert eng.refresh_deletes() == len(victim_ids)
     del_set = set(victim_ids)
     for q in QUERIES:
-        results = {m: eng.search(q, k=10, method=m) for m in METHODS}
-        for m, res in results.items():
-            assert not del_set & {d for d, _ in res}, (q, m)
-        assert results["exhaustive"] == results["wand"], q
+        res = eng.search(q, k=10)
+        assert not del_set & {d for d, _ in res}, q
         # stale-stats semantics: surviving docs score EXACTLY as before
-        for d, s in results["exhaustive"]:
+        for d, s in res:
             assert s == pre_scores[q][d], (q, d)
         and_res = eng.search_and(q, k=10)
         assert not del_set & {d for d, _ in and_res}, (q, "and")
@@ -82,22 +79,20 @@ def test_deletes_filter_every_path(ray_session, corpus, victim_ids, tmp_path):
 
 def test_delete_entire_topk_surfaces_next_tier(ray_session, corpus, tmp_path):
     """Deleting ALL of a query's top-k must surface the next tier with
-    identical scores in every scorer — the harshest case for the block-max
-    window skips and WAND theta pruning (their upper bounds still include
-    the deleted docs, which is safe but must not drop live ones)."""
+    identical scores — the harshest case for the top-k cut, whose k-th
+    score must be taken over live docs only."""
     out = str(tmp_path / "idx")
     _build(corpus, out)
     pre = QueryEngine(out)
     for q in QUERIES:
-        full = pre.search(q, k=1 << 20, method="exhaustive")
+        full = pre.search(q, k=1 << 20)
         if len(full) < 15:
             continue
         top10 = [d for d, _ in full[:10]]
         delete_docs(out, top10)
         eng = QueryEngine(out)
         expected = [(d, s) for d, s in full if d not in set(top10)][:10]
-        for m in METHODS:
-            assert eng.search(q, k=10, method=m) == expected, (q, m)
+        assert eng.search(q, k=10) == expected, q
         # reset tombstones for the next query's clean slate
         from stocksight_ray.index.deletes import clear_deletes
 
@@ -134,8 +129,7 @@ def test_compact_equals_filtered_rebuild(ray_session, corpus, victim_ids, tmp_pa
 
     got, exp = QueryEngine(out), QueryEngine(ref)
     for q in QUERIES:
-        for m in METHODS:
-            assert got.search(q, k=10, method=m) == exp.search(q, k=10, method=m)
+        assert got.search(q, k=10) == exp.search(q, k=10)
         assert got.search_and(q, k=10) == exp.search_and(q, k=10)
 
 
@@ -198,7 +192,7 @@ def test_sharded_deletes_and_compact(ray_session, corpus, victim_ids, tmp_path):
     svc = ShardedQueryService(out, warm=True)
     try:
         for q in QUERIES:
-            assert svc.search(q, k=10) == glob.search(q, k=10, method="exhaustive")
+            assert svc.search(q, k=10) == glob.search(q, k=10)
             assert svc.search(q, k=10, mode="and") == glob.search_and(q, k=10)
         assert svc.search("stock xyzzyunseenterm", k=5, mode="and") == []
     finally:

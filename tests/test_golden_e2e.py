@@ -33,15 +33,14 @@ def golden_docs(ray_session, golden):
     )
 
 
-def _check(index_dir, golden, methods=("wand", "exhaustive")):
+def _check(index_dir, golden):
     from stocksight_ray.index.query import QueryEngine
 
     eng = QueryEngine(index_dir)
     for q, exp in golden["results"].items():
         exp_pairs = [(int(d), float(s)) for d, s in exp]
-        for m in methods:
-            got = [(d, round(s, 10)) for d, s in eng.search(q, k=10, method=m)]
-            assert got == exp_pairs, (q, m)
+        got = [(d, round(s, 10)) for d, s in eng.search(q, k=10)]
+        assert got == exp_pairs, q
 
 
 def test_golden_single_pass(ray_session, golden, golden_docs, tmp_path):
@@ -64,7 +63,7 @@ def test_golden_other_partitioning(ray_session, golden, golden_docs, tmp_path):
         golden_docs.repartition(3), out, text_col="text_clean",
         num_partitions=3, batch_size=64,
     )
-    _check(out, golden, methods=("wand",))
+    _check(out, golden)
 
 
 def test_golden_resumable(ray_session, golden, golden_docs, tmp_path):
@@ -76,4 +75,4 @@ def test_golden_resumable(ray_session, golden, golden_docs, tmp_path):
         num_partitions=golden["num_partitions"], salt_range=128,
         shard_docs=128, batch_size=64,
     )
-    _check(out, golden, methods=("wand",))
+    _check(out, golden)

@@ -1,5 +1,6 @@
-"""End-to-end index build + BM25 top-k: rank-identity vs the naive oracle,
-WAND ≡ exhaustive, partition-count invariance (SURVEY.md §5.2, §5.6)."""
+"""End-to-end index build + BM25 top-k: rank- and score-identity vs the
+naive oracle at k = 1, 10, 100, partition-count invariance (SURVEY.md
+§5.2, §5.6)."""
 
 import math
 
@@ -56,26 +57,18 @@ def test_manifest_stats(built):
     assert math.isclose(manifest["avgdl"], total / len(doc_tokens))
 
 
+def _assert_equals_oracle(eng, doc_tokens, query):
+    """Same ids, same order and the same float scores as the oracle at
+    k = 1, 10 and 100 (both fold the per-doc sum in query-term order)."""
+    for k in (1, 10, 100):
+        want = naive_bm25_topk(doc_tokens, english_analyzer(query), k=k)
+        assert eng.search(query, k=k) == want, (query, k)
+
+
 @pytest.mark.parametrize("query", QUERIES)
 def test_rank_identical_vs_oracle(built, query):
     out, _, doc_tokens = built
-    eng = QueryEngine(out)
-    want = naive_bm25_topk(doc_tokens, english_analyzer(query), k=10)
-    got = eng.search(query, k=10, method="exhaustive")
-    assert [d for d, _ in got] == [d for d, _ in want], query
-    for (d1, s1), (d2, s2) in zip(got, want):
-        assert math.isclose(s1, s2, rel_tol=1e-6), (query, d1, s1, s2)
-
-
-@pytest.mark.parametrize("query", QUERIES)
-def test_wand_equals_exhaustive(built, query):
-    out, _, _ = built
-    eng = QueryEngine(out)
-    ex = eng.search(query, k=10, method="exhaustive")
-    wd = eng.search(query, k=10, method="wand")
-    assert [d for d, _ in wd] == [d for d, _ in ex], query
-    for (d1, s1), (d2, s2) in zip(wd, ex):
-        assert math.isclose(s1, s2, rel_tol=1e-9), (query, d1)
+    _assert_equals_oracle(QueryEngine(out), doc_tokens, query)
 
 
 def test_partition_count_invariance(ray_session, webtext_table, tmp_path):
@@ -96,13 +89,10 @@ def test_partition_count_invariance(ray_session, webtext_table, tmp_path):
         salt_range=64,  # force many salt buckets → exercises run concat
     )
     eng2 = QueryEngine(out2)
-
-    # reference engine from the module fixture is built with different
-    # partitioning; rebuild here quickly for self-containment
+    doc_tokens = {r["doc_id"]: english_analyzer(r["text_clean"])
+                  for r in docs.take_all()}
     for query in QUERIES[:6]:
-        ex = eng2.search(query, k=10, method="exhaustive")
-        wd = eng2.search(query, k=10, method="wand")
-        assert [d for d, _ in wd] == [d for d, _ in ex]
+        _assert_equals_oracle(eng2, doc_tokens, query)
 
 
 def test_doc_ids_deterministic_across_partitioning(ray_session, webtext_table):
@@ -191,10 +181,19 @@ def sharded(ray_session, tmp_path_factory):
     ("filtered", "AND"), ("filtered", "xor"),
 ])
 def test_bad_method_or_mode_raises(sharded, target, bad):
-    """An unknown scorer or match mode fails loudly instead of silently
-    running some other scorer or an OR; the valid values still answer."""
+    """An unknown match mode fails loudly instead of silently running an
+    OR, and so does a scorer ``method`` (the option is gone: there is one
+    OR scorer); the valid values still answer."""
+    from stocksight_ray.index.serve import SegmentEngine
+
     out, svc = sharded
     eng = QueryEngine(out)
+    if target in ("engine", "shard"):
+        e = eng if target == "engine" else SegmentEngine(out, 1)
+        with pytest.raises(TypeError, match="method"):
+            e.search("strong market", k=10, method=bad)
+        assert e.search("strong market", k=10)
+        return
     if target in ("sorted", "filtered"):
         q = "strong market"
         if target == "sorted":
@@ -210,21 +209,12 @@ def test_bad_method_or_mode_raises(sharded, target, bad):
         assert and_ids < or_ids
         assert set(run("and")) == and_ids and set(run("or")) == or_ids
         return
-    if target == "service":
-        with pytest.raises(ValueError, match="mode"):
-            svc.search("strong market", k=10, mode=bad)
-        assert svc.search("strong market", k=10, mode="and") == \
-            eng.search_and("strong market", k=10)
-        assert svc.search("strong market", k=10, mode="or") == \
-            eng.search("strong market", k=10)
-        return
-    if target == "shard":
-        eng = QueryEngine(out, shard=1)
-    for k in (10, 0):
-        with pytest.raises(ValueError, match="method"):
-            eng.search("strong market", k=k, method=bad)
-    assert eng.search("strong market", k=10, method="wand") == \
-        eng.search("strong market", k=10, method="exhaustive")
+    with pytest.raises(ValueError, match="mode"):
+        svc.search("strong market", k=10, mode=bad)
+    assert svc.search("strong market", k=10, mode="and") == \
+        eng.search_and("strong market", k=10)
+    assert svc.search("strong market", k=10, mode="or") == \
+        eng.search("strong market", k=10)
 
 
 def test_binary_views_rejects_other_offset_types():

@@ -122,7 +122,7 @@ def test_sharded_query_service(ray_session, webtext_table, tmp_path):
     eng = QueryEngine(out)
     for q in ["stock market earnings", "investor fears", "running traditional",
               "buy sell hold", "zzzunseen"]:
-        assert svc.search(q, 10) == eng.search(q, 10, method="exhaustive"), q
+        assert svc.search(q, 10) == eng.search(q, 10), q
     svc.shutdown()
 
 

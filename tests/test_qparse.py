@@ -123,7 +123,7 @@ def test_qs_or_equals_search(ray_session, qs_index):
     out, _ = qs_index
     eng = _engine(out)
     got = eng.search_query("stock earnings market", k=10)
-    exp = eng.search("stock earnings market", k=10, method="exhaustive")
+    exp = eng.search("stock earnings market", k=10)
     assert got == exp  # float-identical, same tie order
 
 
@@ -161,11 +161,11 @@ def test_qs_not_excludes(ray_session, qs_index):
     out, rows = qs_index
     eng = _engine(out)
     got = eng.search_query("market AND NOT stock", k=10)
-    market_ids = {d for d, _ in eng.search("market", k=100, method="exhaustive")}
-    stock_ids = {d for d, _ in eng.search("stock", k=100, method="exhaustive")}
+    market_ids = {d for d, _ in eng.search("market", k=100)}
+    stock_ids = {d for d, _ in eng.search("stock", k=100)}
     assert {d for d, _ in got} == market_ids - stock_ids
     # scores are the market-clause scores, untouched by the exclusion
-    m_scores = dict(eng.search("market", k=100, method="exhaustive"))
+    m_scores = dict(eng.search("market", k=100))
     for d, s in got:
         assert s == pytest.approx(m_scores[d], rel=1e-12)
 
@@ -220,12 +220,12 @@ def test_qs_stopword_clause_drops(ray_session, qs_index):
     assert eng.search_query("the AND market", k=10) == \
         eng.search_and("the market", k=10)
     assert eng.search_query("the market", k=10) == \
-        eng.search(" market", k=10, method="exhaustive")
+        eng.search(" market", k=10)
     # all clauses analyzed away → no hits, no error
     assert eng.search_query("the AND a", k=10) == []
     # analyzed-away negative excludes nothing
     assert eng.search_query("market AND NOT the", k=10) == \
-        eng.search(" market", k=10, method="exhaustive")
+        eng.search(" market", k=10)
 
 
 def test_qs_field_value_wildcard_rejected():
@@ -265,7 +265,7 @@ def test_qs_prefix_equals_manual_expansion(ray_session, qs_index):
     assert exp_terms  # recession/recipe/record/report... stems
     assert all(t.startswith("re") for t in exp_terms)
     got = eng.search_query("re*", k=20)
-    exp = eng.search(" ".join(exp_terms), k=20, method="exhaustive")
+    exp = eng.search(" ".join(exp_terms), k=20)
     assert got == exp
     # no-match prefix is empty, not an error
     assert eng.search_query("zzz*", k=5) == []
@@ -473,7 +473,7 @@ def test_filter_value_cast_to_column_type(ray_session, qs_index, tmp_path):
     assert eng.search_query("warc_ts:>=2021-01-15", k=100) == \
         [(d, 0.0) for d in exp]
     got = eng.search_query("market AND warc_ts:>=2021-01-15", k=100)
-    market = {d for d, _ in eng.search("market", k=100, method="exhaustive")}
+    market = {d for d, _ in eng.search("market", k=100)}
     assert sorted(d for d, _ in got) == sorted(market & set(exp))
     # an int value against a float-free int column, a float against it
     assert eng.search_query("n:>=45", k=100) == \
@@ -541,8 +541,7 @@ def test_docstore_single_pass_equals_scan_through_compact(
         de = _scan_filter(docs, live, "lang", "==", "de")
         assert eng.search_query("lang:de", k=100) == [(d, 0.0) for d in de]
 
-        base = [(d, s) for d, s in eng.search("market", k=100,
-                                              method="exhaustive")]
+        base = eng.search("market", k=100)
         for path, tbl in ((docs_path, docs), (alt_path, alt)):
             langs = dict(zip(tbl["doc_id"].to_pylist(),
                              tbl["lang"].to_pylist()))

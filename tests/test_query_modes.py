@@ -142,7 +142,7 @@ def test_search_and(ray_session, small_index):
     ]
     assert sorted(d for d, _ in got) == sorted(exp_ids)
     # AND scores equal the OR scores for the same docs
-    or_scores = dict(eng.search(" ".join(q_terms), k=100, method="exhaustive"))
+    or_scores = dict(eng.search(" ".join(q_terms), k=100))
     for d, s in got:
         assert s == pytest.approx(or_scores[d], rel=1e-12)
     # missing term empties the conjunction
@@ -202,7 +202,7 @@ def test_search_sorted_by_metadata(ray_session, small_index, tmp_path):
     )
     eng = QueryEngine(out)
     hits = eng.search_sorted("market", k=3, docs_path=docs_path)
-    match_ids = {d for d, _ in eng.search("market", k=100, method="exhaustive")}
+    match_ids = {d for d, _ in eng.search("market", k=100)}
     exp = sorted(match_ids, reverse=True)[:3]  # newest = highest doc_id here
     assert [d for d, _ in hits] == exp
     asc = eng.search_sorted("market", k=3, docs_path=docs_path, descending=False)
@@ -231,7 +231,7 @@ def test_search_filtered(ray_session, small_index, tmp_path):
         docs_path,
     )
     eng = QueryEngine(out)
-    base = eng.search("market", k=100, method="exhaustive")
+    base = eng.search("market", k=100)
     scores = dict(base)
 
     got = eng.search_filtered(
