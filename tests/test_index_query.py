@@ -1,6 +1,6 @@
 """End-to-end index build + BM25 top-k: rank- and score-identity vs the
-naive oracle at k = 1, 10, 100, partition-count invariance (SURVEY.md
-§5.2, §5.6)."""
+naive oracle at k = 1, 10, 100, pruned top k ≡ exhaustive ranking,
+partition-count invariance (SURVEY.md §5.2, §5.6)."""
 
 import math
 
@@ -69,6 +69,25 @@ def _assert_equals_oracle(eng, doc_tokens, query):
 def test_rank_identical_vs_oracle(built, query):
     out, _, doc_tokens = built
     _assert_equals_oracle(QueryEngine(out), doc_tokens, query)
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_wand_equals_exhaustive(built, query, monkeypatch):
+    """The pruned top k (only docs at or above a sampled lower bound on the
+    k-th score are extracted and sorted) equals the exhaustive ranking: a
+    full (score desc, doc_id asc) sort of every matching doc.  The sample
+    size is also shrunk so that the threshold path runs on this corpus."""
+    from stocksight_ray.index import query as qmod
+
+    out, _, _ = built
+    eng = QueryEngine(out)
+    docs, scores = eng._match(query, "or")
+    ranked = sorted(zip(docs.tolist(), scores.tolist()),
+                    key=lambda r: (-r[1], r[0]))
+    for sample in (qmod._SAMPLE, 8, 32, 256):
+        monkeypatch.setattr(qmod, "_SAMPLE", sample)
+        for k in (1, 10, 100):
+            assert eng.search(query, k=k) == ranked[:k], (query, sample, k)
 
 
 def test_partition_count_invariance(ray_session, webtext_table, tmp_path):
